@@ -4,7 +4,7 @@ The CLI mirrors how the paper's system would be operated as batch
 jobs::
 
     repro generate flickr-small --scale 0.2 --out /tmp/fs
-    repro join /tmp/fs --sigma 4.0 --method mapreduce --backend threads
+    repro join /tmp/fs --sigma 4.0 --method mapreduce --backend processes
     repro join /tmp/fs --sigma 4.0 --method mapreduce --fs disk \
         --spill-threshold 1000
     repro match /tmp/fs --sigma 4.0 --alpha 2.0 --algorithm greedy_mr \
@@ -12,18 +12,17 @@ jobs::
     repro serve /tmp/fs --sigma 4.0 --events 200 --batch-size 32
     repro experiment --only fig5 --scale 0.5
 
-``--backend {serial,threads,processes}`` selects the execution backend
+``--backend {serial,processes,cluster}`` selects the execution backend
 of the simulated cluster for the MapReduce paths; ``--fs
 {memory,disk}`` selects its storage backend (inter-job datasets and
 parked resident state in RAM or as on-disk JSONL), and
 ``--spill-threshold N`` bounds the shuffle buffers — map outputs
 beyond ``N`` records per reduce partition are sorted and spilled to
 disk runs, then k-way merged at reduce time — as well as the resident
-state store's parking point.  ``match --delta/--no-delta`` switches
-the ``*_mr`` algorithms between the delta iteration plane (resident
-node state, only changed records per round) and the paper's
-full-state-per-round formulation.  Results are bit-identical across
-all four knobs; the spill counters report the extra IO.
+state store's parking point.  The ``*_mr`` algorithms run on the
+delta iteration plane (resident node state, only changed records per
+round).  Results are bit-identical across all three knobs; the spill
+counters report the extra IO.
 
 ``generate`` persists the item/consumer vectors, activity, and quality
 signals as TSV (via :mod:`repro.mapreduce.storage.tsvio`); ``join``
@@ -241,17 +240,11 @@ def _cmd_match(args: argparse.Namespace) -> int:
     tracer = None
     if "_mr" in args.algorithm:
         # Only the MapReduce adaptations take a simulated cluster; the
-        # centralized solvers ignore the backend/storage choices.  On
-        # the delta plane (the default) --fs backs the resident state
-        # store, so node records park out-of-core between rounds once
-        # --spill-threshold is exceeded; --spill-threshold also bounds
-        # every round's shuffle on both planes.
-        if args.fs != "memory" and not args.delta:
-            print(
-                f"note: --fs {args.fs} has little effect with "
-                "--no-delta (the full-state drivers keep round state "
-                "driver-side); --spill-threshold still applies"
-            )
+        # centralized solvers ignore the backend/storage choices.
+        # --fs backs the resident state store, so node records park
+        # out-of-core between rounds once --spill-threshold is
+        # exceeded; --spill-threshold also bounds every round's
+        # shuffle.
         tracer = _make_tracer(args)
         runtime = MapReduceRuntime(
             backend=args.backend,
@@ -262,7 +255,6 @@ def _cmd_match(args: argparse.Namespace) -> int:
             retry_policy=_make_retry_policy(args),
         )
         kwargs["runtime"] = runtime
-        kwargs["delta"] = args.delta
     start = time.perf_counter()
     result = solve(graph, args.algorithm, **kwargs)
     elapsed = time.perf_counter() - start
@@ -468,7 +460,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     baseline_rt = make_runtime()
     baseline_data = exercise_storage(baseline_rt)
-    baseline = solve(graph, "greedy_mr", runtime=baseline_rt, delta=True)
+    baseline = solve(graph, "greedy_mr", runtime=baseline_rt)
     baseline_counters = strip_volatile_counters(
         baseline_rt.counters.snapshot()
     )
@@ -485,9 +477,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         ) as plan:
             runtime = make_runtime(retry_policy=policy, fault_plan=plan)
             data = exercise_storage(runtime)
-            result = solve(
-                graph, "greedy_mr", runtime=runtime, delta=True
-            )
+            result = solve(graph, "greedy_mr", runtime=runtime)
             faults = runtime.counters.group("faults")
             injected = faults.get("injected_total", 0)
             identical = (
@@ -608,7 +598,7 @@ def _add_cluster_options(
         default=None,
         metavar="N",
         help="worker count for the parallel backends: pool size for "
-        "threads/processes, daemon-fleet size for cluster (default: "
+        "processes, daemon-fleet size for cluster (default: "
         f"backend-specific, bounded by CPU count; {applies_to})",
     )
     parser.add_argument(
@@ -724,15 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm", default="greedy_mr", choices=sorted(ALGORITHMS)
     )
     match.add_argument("--epsilon", type=float, default=1.0)
-    match.add_argument(
-        "--delta",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="run the *_mr algorithms on the delta iteration plane "
-        "(resident node state, only changed records per round; the "
-        "default) or, with --no-delta, re-ship the full state every "
-        "round as the paper formulates it — results are bit-identical",
-    )
     _add_cluster_options(match, "*_mr algorithms only")
     match.add_argument("--seed", type=int, default=0)
     match.add_argument("--out")

@@ -23,14 +23,14 @@ Two properties the paper highlights are surfaced here:
   linear in the graph size (see ``repro.graph.generators.ascending_path``
   and the ablation benchmark).
 
-Delta rounds (the default, ``delta=True``)
-------------------------------------------
+Delta rounds
+------------
 
 The any-time curve of Figure 5 flattens fast: after the first few
 rounds most nodes are *quiescent* — same capacity, same edges, same
 proposals — yet the classic formulation re-ships every node record and
-every proposal through the shuffle each round.  The delta path runs the
-same Algorithm 3 on the runtime's delta iteration plane instead
+every proposal through the shuffle each round.  GreedyMR therefore runs
+Algorithm 3 on the runtime's delta iteration plane
 (:meth:`~repro.mapreduce.runtime.MapReduceRuntime.run_stateful`,
 frontier mode):
 
@@ -43,14 +43,13 @@ frontier mode):
   every live neighbor, so quiescent neighbors need not re-send;
 * a node that leaves the graph retires with explicit death notices
   (:class:`~repro.mapreduce.state.Retired`) to its surviving
-  neighbors, replacing the full path's absence-of-message signal;
+  neighbors;
 * convergence is an empty delta stream.
 
-The two paths produce bit-identical matchings, ``value_history``,
-round counts, and job counts (property-tested and pinned by the golden
-convergence curves); only the shuffle volume differs, which is the
-point — ``iteration.quiescent_records`` meters what the frontier
-skipped.
+Matchings, ``value_history``, round counts, and job counts equal
+those of the full-state formulation (pinned by the golden convergence
+curves); only the shuffle volume shrinks, and
+``iteration.quiescent_records`` meters what the frontier skipped.
 """
 
 from __future__ import annotations
@@ -71,9 +70,7 @@ from ..mapreduce import (
 from .types import Matching, MatchingResult
 
 __all__ = [
-    "GreedyNode",
     "GreedyDeltaNode",
-    "GreedyRoundJob",
     "GreedyDeltaRoundJob",
     "default_max_rounds",
     "greedy_mr_b_matching",
@@ -81,22 +78,13 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class GreedyNode:
-    """A node record: residual capacity and live incident edges."""
-
-    b: int
-    adj: Dict[str, float]
-
-
-@dataclass(frozen=True)
 class GreedyDeltaNode:
-    """A resident node record of the delta path.
-
-    On top of :class:`GreedyNode`'s fields it carries the incremental
-    bookkeeping that lets quiescent neighbors stay silent:
+    """A resident node record: residual capacity ``b`` and live
+    incident edges ``adj``, plus the incremental bookkeeping that lets
+    quiescent neighbors stay silent:
 
     * ``inbox`` — the last proposal bit received from each live
-      neighbor (the full-state path re-receives every bit every round);
+      neighbor;
     * ``props`` — the node's own current proposal set, which is also
       exactly what its neighbors' inboxes hold (``None`` until first
       computed).  Proposals are a pure function of ``(b, adj)``, so
@@ -112,74 +100,30 @@ class GreedyDeltaNode:
     flips: Tuple[str, ...] = ()
 
 
-def _proposals(node: str, state) -> Set[str]:
+def _proposals(node: str, b: int, adj: Dict[str, float]) -> Set[str]:
     """The neighbors of ``v``'s top-``b(v)`` edges by the global order.
 
     Called identically from map and reduce, so both phases agree without
     extra communication.
     """
-    if state.b <= 0:
+    if b <= 0:
         return set()
     ranked = sorted(
-        state.adj.items(),
+        adj.items(),
         key=lambda item: edge_sort_key(
             edge_key(node, item[0]), item[1]
         ),
     )
-    return {neighbor for neighbor, _ in ranked[: state.b]}
-
-
-class GreedyRoundJob(MapReduceJob):
-    """One GreedyMR iteration (Algorithm 3's parallel loop body)."""
-
-    name = "greedy-round"
-
-    def map(self, node: str, state: GreedyNode) -> Iterable[KeyValue]:
-        proposals = _proposals(node, state)
-        yield node, ("self", state)
-        for neighbor in state.adj:
-            yield neighbor, ("prop", node, neighbor in proposals)
-
-    def reduce(self, node: str, values: List) -> Iterable[KeyValue]:
-        state: Optional[GreedyNode] = None
-        neighbor_proposals: Dict[str, bool] = {}
-        for value in values:
-            if value[0] == "self":
-                state = value[1]
-            else:
-                _, neighbor, proposed = value
-                neighbor_proposals[neighbor] = proposed
-        if state is None:
-            # This node's record died in an earlier round; stray proposal
-            # messages are ignored (the sender drops the edge likewise).
-            return
-        my_proposals = _proposals(node, state)
-        new_adj: Dict[str, float] = {}
-        matched: List[Tuple[str, float]] = []
-        for neighbor, weight in state.adj.items():
-            if neighbor not in neighbor_proposals:
-                continue  # the neighbor died: retract the edge
-            if neighbor in my_proposals and neighbor_proposals[neighbor]:
-                matched.append((neighbor, weight))
-            else:
-                new_adj[neighbor] = weight
-        for neighbor, weight in matched:
-            if node < neighbor:
-                yield ("matched", node, neighbor), weight
-        new_b = state.b - len(matched)
-        if new_b > 0 and new_adj:
-            yield node, GreedyNode(b=new_b, adj=new_adj)
+    return {neighbor for neighbor, _ in ranked[:b]}
 
 
 class GreedyDeltaRoundJob(MapReduceJob):
-    """One GreedyMR iteration on the delta plane (frontier mode).
+    """One GreedyMR iteration (Algorithm 3's parallel loop body) on
+    the delta plane, frontier mode.
 
-    Same round semantics as :class:`GreedyRoundJob`, expressed over
-    deltas: only changed nodes map, proposals from quiescent neighbors
-    come from the resident inbox, and departures are announced with
-    explicit ``("dead", node)`` notices instead of message absence.
-    The job name is shared so job logs and counter groups line up
-    across the two paths.
+    Only changed nodes map, proposals from quiescent neighbors come
+    from the resident inbox, and departures are announced with
+    explicit ``("dead", node)`` notices.
     """
 
     name = "greedy-round"
@@ -195,7 +139,7 @@ class GreedyDeltaRoundJob(MapReduceJob):
         yield node, ("ping",)
         if delta.props is None:
             # First broadcast: every neighbor needs every bit.
-            proposals = _proposals(node, delta)
+            proposals = _proposals(node, delta.b, delta.adj)
             for neighbor in delta.adj:
                 yield neighbor, ("prop", node, neighbor in proposals)
             return
@@ -221,7 +165,9 @@ class GreedyDeltaRoundJob(MapReduceJob):
         if state.props is not None:
             my_proposals: FrozenSet[str] = state.props
         else:
-            my_proposals = frozenset(_proposals(node, state))
+            my_proposals = frozenset(
+                _proposals(node, state.b, state.adj)
+            )
         new_adj: Dict[str, float] = {}
         matched: List[Tuple[str, float]] = []
         for neighbor, weight in state.adj.items():
@@ -243,11 +189,7 @@ class GreedyDeltaRoundJob(MapReduceJob):
                 # Core change: recompute proposals once, diff against
                 # what the neighbors' inboxes hold (= my_proposals),
                 # and schedule messages only for the flipped bits.
-                new_props = frozenset(
-                    _proposals(
-                        node, GreedyNode(b=new_b, adj=new_adj)
-                    )
-                )
+                new_props = frozenset(_proposals(node, new_b, new_adj))
                 flips = tuple(
                     sorted(
                         nbr
@@ -299,7 +241,7 @@ def default_max_rounds(graph: Graph) -> int:
 
 
 def _initial_records(graph: Graph) -> List[KeyValue]:
-    """Node records for every capacitated node with live edges."""
+    """Seed records for every capacitated node with live edges."""
     capacities = graph.capacities()
     records: List[KeyValue] = []
     for node in sorted(capacities):
@@ -312,21 +254,11 @@ def _initial_records(graph: Graph) -> List[KeyValue]:
         }
         if adj:
             records.append(
-                (node, GreedyNode(b=capacities[node], adj=adj))
+                (
+                    node,
+                    GreedyDeltaNode(b=capacities[node], adj=adj, inbox={}),
+                )
             )
-    return records
-
-
-def _collect_round(
-    output: List[KeyValue], matching: Matching
-) -> List[KeyValue]:
-    """Split one round's output into matches (applied) and records."""
-    records: List[KeyValue] = []
-    for key, value in output:
-        if isinstance(key, tuple) and key[0] == "matched":
-            matching.add(key[1], key[2], value)
-        else:
-            records.append((key, value))
     return records
 
 
@@ -334,7 +266,6 @@ def greedy_mr_b_matching(
     graph: Graph,
     runtime: Optional[MapReduceRuntime] = None,
     max_rounds: Optional[int] = None,
-    delta: bool = True,
     on_round_end=None,
 ) -> MatchingResult:
     """Run GreedyMR on ``graph`` and return the matching with its history.
@@ -342,23 +273,17 @@ def greedy_mr_b_matching(
     ``value_history[i]`` is the (feasible) matching value after round
     ``i+1`` — the any-time property of §5.4 and the series of Figure 5.
 
-    ``delta`` selects the execution plane: ``True`` (default) runs
-    resident-state frontier rounds, ``False`` the classic
-    full-state-per-round formulation.  Matchings, ``value_history``,
-    round counts, and job counts are bit-identical either way; only
-    shuffle volume and wall-clock differ (see
-    ``benchmarks/bench_matching_rounds.py``).  ``on_round_end(state,
-    round_number)`` is forwarded to the :class:`IterativeDriver` for
-    per-round instrumentation.
+    ``on_round_end(state, round_number)`` is forwarded to the
+    :class:`IterativeDriver` for per-round instrumentation.
     """
     runtime = runtime or MapReduceRuntime()
     if max_rounds is None:
         max_rounds = default_max_rounds(graph)
     jobs_before = runtime.jobs_executed
-    records = _initial_records(graph)
+    seeds = _initial_records(graph)
     matching = Matching()
     history: List[float] = []
-    if not records:
+    if not seeds:
         return MatchingResult(
             matching=matching,
             algorithm="GreedyMR",
@@ -372,34 +297,20 @@ def greedy_mr_b_matching(
         max_rounds=max_rounds,
         on_round_end=on_round_end,
     )
-    if delta:
-        job = GreedyDeltaRoundJob()
-        seeds = [
-            (node, GreedyDeltaNode(b=state.b, adj=state.adj, inbox={}))
-            for node, state in records
-        ]
-        driver.create_store(seeds)
+    job = GreedyDeltaRoundJob()
+    driver.create_store(seeds)
 
-        def step(deltas, round_number):
-            output, next_deltas = driver.run_stateful(job, deltas=deltas)
-            _collect_round(output, matching)
-            history.append(matching.value)
-            return next_deltas, not next_deltas
+    def step(deltas, round_number):
+        output, next_deltas = driver.run_stateful(job, deltas=deltas)
+        for (_, node, neighbor), weight in output:
+            matching.add(node, neighbor, weight)
+        history.append(matching.value)
+        return next_deltas, not next_deltas
 
-        try:
-            driver.iterate(step, seeds)
-        finally:
-            driver.close()
-    else:
-        job = GreedyRoundJob()
-
-        def step(records, round_number):
-            output = runtime.run(job, records)
-            next_records = _collect_round(output, matching)
-            history.append(matching.value)
-            return next_records, not next_records
-
-        driver.iterate(step, records)
+    try:
+        driver.iterate(step, seeds)
+    finally:
+        driver.close()
     return MatchingResult(
         matching=matching,
         algorithm="GreedyMR",

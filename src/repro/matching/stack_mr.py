@@ -43,8 +43,8 @@ record, and nodes outside the layer are quiescent: the scan visits
 them, finds nothing changed, and emits no delta.  The maximal
 subroutine (1) runs its four stages on the same plane.  Matchings,
 duals, layer and round counts, and job counts are bit-identical to the
-full-state path (``delta=False``), which remains available for A/B
-benchmarking.
+full-state path (``delta=False``), kept as the reference plane the
+benchmark and matrix tests compare against.
 """
 
 from __future__ import annotations

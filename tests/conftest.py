@@ -30,7 +30,7 @@ settings.load_profile("repro")
 BACKENDS = tuple(
     name.strip()
     for name in os.environ.get(
-        "REPRO_TEST_BACKENDS", "serial,threads,processes"
+        "REPRO_TEST_BACKENDS", "serial,processes"
     ).split(",")
     if name.strip()
 )
@@ -74,7 +74,7 @@ def all_backends(request) -> str:
 
     ``backend`` follows REPRO_TEST_BACKENDS so CI matrix jobs can run
     one cell at a time; this fixture always cycles the full registry
-    (serial, threads, processes, cluster) — for the registry-driven
+    (serial, processes, cluster) — for the registry-driven
     smoke tests that must prove each backend at least boots and agrees,
     no matter how the matrix is narrowed.
     """

@@ -2,8 +2,9 @@
 
 The heart of the pluggable-executor contract: for any job, input, and
 task-count choice, the output records, the ``job_log``, and the merged
-counter totals must be *bit-identical* across the ``serial``,
-``threads``, and ``processes`` backends.  These tests also cover the
+counter totals must be *bit-identical* across the ``serial`` and
+``processes`` backends (``cluster`` has its own suite in
+``test_cluster.py``).  These tests also cover the
 failure paths — job errors must traverse the process boundary with
 their original type, and unpicklable work must fail with a diagnosable
 :class:`ExecutorError` rather than a bare pool error.
@@ -28,13 +29,12 @@ from repro.mapreduce import (
     Pipeline,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     resolve_executor,
 )
 from repro.matching import greedy_mr_b_matching, stack_mr_b_matching
 from repro.simjoin import mapreduce_similarity_join
 
-PARALLEL_BACKENDS = ("threads", "processes")
+PARALLEL_BACKENDS = ("processes",)
 
 
 # -- module-level jobs (picklable for the processes backend) ---------------
@@ -106,18 +106,17 @@ def _maybe_fail(x):
 
 def test_resolve_executor_names_and_aliases():
     assert isinstance(resolve_executor("serial"), SerialExecutor)
-    assert isinstance(resolve_executor("threads"), ThreadExecutor)
     assert isinstance(resolve_executor("processes"), ProcessExecutor)
     assert isinstance(resolve_executor("multiprocessing"), ProcessExecutor)
     assert isinstance(resolve_executor(None), SerialExecutor)
-    existing = ThreadExecutor(max_workers=2)
+    existing = ProcessExecutor(max_workers=2)
     assert resolve_executor(existing) is existing
 
 
 def test_resolve_executor_rejects_unknown():
     with pytest.raises(ExecutorError, match="unknown executor backend"):
         resolve_executor("gpu")
-    with pytest.raises(ExecutorError, match="serial, threads, processes"):
+    with pytest.raises(ExecutorError, match="serial, processes, cluster"):
         resolve_executor(42)
 
 
@@ -140,7 +139,6 @@ def test_run_tasks_propagates_original_exception(name):
 
 def test_runtime_exposes_backend_name():
     assert MapReduceRuntime().backend == "serial"
-    assert MapReduceRuntime(backend="threads").backend == "threads"
     assert MapReduceRuntime(backend="processes").backend == "processes"
 
 
@@ -149,7 +147,7 @@ def test_shared_pools_recreate_after_shutdown():
 
     records = [(0, "a b a")]
     baseline = MapReduceRuntime().run(WordCount(), records)
-    runtime = MapReduceRuntime(backend="threads")
+    runtime = MapReduceRuntime(backend="processes")
     assert runtime.run(WordCount(), records) == baseline
     shutdown_shared_pools()
     # Pools are lazily rebuilt: the same runtime keeps working.
@@ -157,10 +155,10 @@ def test_shared_pools_recreate_after_shutdown():
 
 
 def test_pipeline_accepts_backend_name():
-    pipeline = Pipeline(backend="threads")
-    assert pipeline.runtime.backend == "threads"
+    pipeline = Pipeline(backend="processes")
+    assert pipeline.runtime.backend == "processes"
     with pytest.raises(Exception, match="not both"):
-        Pipeline(runtime=MapReduceRuntime(), backend="threads")
+        Pipeline(runtime=MapReduceRuntime(), backend="processes")
 
 
 def test_counters_survive_pickling():

@@ -1,4 +1,4 @@
-"""Cross-backend matching test matrix (executors × filesystems × delta).
+"""Cross-backend matching test matrix (executors × filesystems × plane).
 
 ``tests/mapreduce`` pins the runtime's equivalence contract on generic
 jobs; this module pins it *end to end* through the matching layer: for
@@ -7,14 +7,16 @@ every cell of the matrix —
 * execution backend (``runtime`` fixture, via ``REPRO_TEST_BACKENDS``),
 * storage backend / spill threshold (``REPRO_TEST_FS`` /
   ``REPRO_TEST_SPILL_THRESHOLD``),
-* iteration plane (``delta`` fixture: full-state vs resident-state),
+* StackMR's iteration plane (``delta``: full-state vs resident-state;
+  GreedyMR has only the resident-state plane),
 
 GreedyMR and StackMR must produce bit-identical matchings,
 ``value_history``, round counts, and job counts; and counter totals
 minus the spill counters (shuffle spill + state-store parking, the
 only threshold-dependent meters) must be bit-identical across cells
-sharing a delta mode.  The reference cell is always a fresh
-serial/in-memory, no-spill runtime on the full-state plane.
+sharing a plane.  The reference cell is always a fresh serial/in-memory,
+no-spill runtime — on StackMR's full-state plane — and GreedyMR's
+matching must also equal the sequential greedy's.
 
 The degenerate property tests at the bottom are the satellite of the
 shared hypothesis strategies: ``greedy_mr == greedy`` and the StackMR
@@ -48,7 +50,7 @@ from ..strategies import (
 )
 
 #: One marker per configured execution backend; combined with the env
-#: storage knobs and the delta axis this spans the full matrix.
+#: storage knobs and StackMR's delta axis this spans the full matrix.
 #: (Markers rather than fixtures inside ``@given`` tests: hypothesis
 #: forbids function-scoped fixtures there, and parametrized arguments
 #: are regenerated per test id anyway.)
@@ -99,16 +101,14 @@ def _result_fingerprint(result):
 
 
 @backend_matrix
-@delta_matrix
 @given(graph=small_general_graphs())
-def test_greedy_mr_matrix_cell_matches_reference(graph, backend, delta):
+def test_greedy_mr_matrix_cell_matches_reference(graph, backend):
     """Matchings/history/rounds/jobs identical across every cell."""
     with _cell_runtime(backend) as runtime:
-        cell = greedy_mr_b_matching(graph, runtime=runtime, delta=delta)
-    reference = greedy_mr_b_matching(
-        graph, runtime=_reference_runtime(), delta=False
-    )
+        cell = greedy_mr_b_matching(graph, runtime=runtime)
+    reference = greedy_mr_b_matching(graph, runtime=_reference_runtime())
     assert _result_fingerprint(cell) == _result_fingerprint(reference)
+    assert set(cell.matching) == set(greedy_b_matching(graph).matching)
 
 
 @backend_matrix
@@ -132,23 +132,18 @@ def test_stack_mr_matrix_cell_matches_reference(graph, seed, backend, delta):
 
 
 @backend_matrix
-@delta_matrix
 @given(graph=small_general_graphs())
-def test_greedy_mr_counters_identical_within_delta_mode(
-    graph, backend, delta
-):
-    """Counters minus spill are a pure function of (input, delta mode).
+def test_greedy_mr_counters_identical_within_delta_mode(graph, backend):
+    """Counters minus spill are a pure function of the input.
 
     The cell's runtime may spill its shuffle or park its state store
     (threshold-dependent); everything else it meters must equal a
-    serial in-memory run of the same plane exactly.
+    serial in-memory run exactly.
     """
     reference_runtime = _reference_runtime()
     with _cell_runtime(backend) as runtime:
-        greedy_mr_b_matching(graph, runtime=runtime, delta=delta)
-        greedy_mr_b_matching(
-            graph, runtime=reference_runtime, delta=delta
-        )
+        greedy_mr_b_matching(graph, runtime=runtime)
+        greedy_mr_b_matching(graph, runtime=reference_runtime)
         assert strip_volatile_counters(
             runtime.counters.snapshot()
         ) == strip_volatile_counters(
@@ -186,7 +181,7 @@ def test_delta_plane_meters_iteration_savings(runtime):
     """The delta path reports resident/delta/quiescent records."""
     from repro.graph import ascending_path
 
-    greedy_mr_b_matching(ascending_path(20), runtime=runtime, delta=True)
+    greedy_mr_b_matching(ascending_path(20), runtime=runtime)
     resident = runtime.counters.get(
         "runtime", "iteration.resident_records"
     )
@@ -201,34 +196,16 @@ def test_delta_plane_meters_iteration_savings(runtime):
     assert quiescent > resident // 2
 
 
-def test_delta_plane_shuffles_fewer_records(runtime):
-    """The point of the plane: strictly less shuffle, same answer."""
-    from repro.graph import ascending_path
-
-    graph = ascending_path(24)
-    full_runtime = _reference_runtime()
-    full = greedy_mr_b_matching(graph, runtime=full_runtime, delta=False)
-    lean = greedy_mr_b_matching(graph, runtime=runtime, delta=True)
-    assert set(full.matching) == set(lean.matching)
-    assert runtime.counters.get(
-        "runtime", "shuffle.records"
-    ) < full_runtime.counters.get("runtime", "shuffle.records")
-    assert runtime.counters.get(
-        "runtime", "shuffle.encoded_bytes"
-    ) < full_runtime.counters.get("runtime", "shuffle.encoded_bytes")
-
-
 # -- degenerate-case property tests (shared strategies satellite) -----------
 
 
-@delta_matrix
 @given(
     graph=st.one_of(
         degenerate_matching_graphs(), degenerate_bipartite_graphs()
     )
 )
-def test_greedy_mr_equals_greedy_on_degenerate_graphs(graph, delta):
-    parallel = greedy_mr_b_matching(graph, delta=delta)
+def test_greedy_mr_equals_greedy_on_degenerate_graphs(graph):
+    parallel = greedy_mr_b_matching(graph)
     sequential = greedy_b_matching(graph)
     assert set(parallel.matching) == set(sequential.matching)
     assert parallel.value == pytest.approx(sequential.value)

@@ -166,62 +166,7 @@ def test_match_accepts_storage_options(corpus_dir, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "value=" in out
     assert "shuffle spilled" in out
-    # On the delta plane (the default) --fs backs the resident state
-    # store, so no "little effect" note is printed...
-    assert "little effect" not in out
     assert os.path.getsize(matching_path) > 0
-
-
-def test_match_no_delta_notes_fs_is_mostly_unused(corpus_dir, tmp_path, capsys):
-    # ...whereas the full-state plane streams round state driver-side,
-    # and the CLI says so instead of pretending the dfs matters.
-    code = main(
-        [
-            "match",
-            corpus_dir,
-            "--sigma",
-            "2.0",
-            "--algorithm",
-            "greedy_mr",
-            "--no-delta",
-            "--fs",
-            "disk",
-            "--out",
-            str(tmp_path / "matching-full.tsv"),
-        ]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "little effect" in out
-
-
-def test_match_delta_modes_agree(corpus_dir, tmp_path, capsys):
-    """--delta and --no-delta write byte-identical matchings."""
-    paths = {}
-    for flag in ("--delta", "--no-delta"):
-        paths[flag] = str(tmp_path / f"matching{flag}.tsv")
-        assert (
-            main(
-                [
-                    "match",
-                    corpus_dir,
-                    "--sigma",
-                    "2.0",
-                    "--algorithm",
-                    "stack_mr",
-                    flag,
-                    "--out",
-                    paths[flag],
-                ]
-            )
-            == 0
-        )
-    capsys.readouterr()
-    with open(paths["--delta"], "rb") as handle:
-        delta_bytes = handle.read()
-    with open(paths["--no-delta"], "rb") as handle:
-        full_bytes = handle.read()
-    assert delta_bytes == full_bytes and delta_bytes
 
 
 def test_join_profile_reports_phase_timings(corpus_dir, tmp_path, capsys):
@@ -403,7 +348,7 @@ def test_serve_accepts_cluster_options(corpus_dir, capsys):
             "--events",
             "12",
             "--backend",
-            "threads",
+            "processes",
             "--fs",
             "disk",
             "--spill-threshold",
