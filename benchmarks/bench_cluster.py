@@ -1,16 +1,17 @@
-"""Cluster backend vs in-process pools on the end-to-end join.
+"""Cluster backend vs the serial backend on the end-to-end join.
 
-The socket-based cluster backend pays real costs the in-process pools
-don't — frame serialization, TCP round trips, one daemon process per
-worker — in exchange for worker-death recovery and shuffle locality.
-This benchmark records that tax honestly and gates it:
+The socket-based cluster backend pays real costs the serial backend
+doesn't — pickling, frame serialization, TCP round trips, one daemon
+process per worker — in exchange for CPU parallelism, worker-death
+recovery and shuffle locality.  This benchmark records that tax
+honestly and gates it:
 
 1. **correctness (exact)** — ``mapreduce_similarity_join`` on a
    flickr-small corpus must return *row-for-row identical* results on
-   the cluster backend and the processes backend (the deterministic
-   half of the gate; any divergence is a hard failure, not a ratio);
+   the cluster backend and the serial backend (the deterministic half
+   of the gate; any divergence is a hard failure, not a ratio);
 2. **wall-clock ceiling (wide)** — the cluster join must finish within
-   ``CEILING`` × the processes-backend wall-clock.  The ceiling is
+   ``CEILING`` × the serial-backend wall-clock.  The ceiling is
    deliberately wide (localhost sockets on a loaded single-core CI
    runner are noisy); it exists to catch pathological regressions — an
    accidental reconnect-per-task, a lost-wakeup stall, a respawn storm
@@ -53,7 +54,7 @@ BENCH_JSON = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "BENCH_perf.json"
 )
 
-#: Cluster wall-clock must stay under CEILING x the processes backend.
+#: Cluster wall-clock must stay under CEILING x the serial backend.
 #: Wide on purpose: the gate is for order-of-magnitude pathologies
 #: (reconnect-per-task, respawn storms), not for socket-vs-pipe noise.
 CEILING = 5.0
@@ -96,14 +97,13 @@ def bench_cluster_join(
 
     dataset = load_dataset("flickr-small", seed=1, scale=scale)
     items, consumers = dataset.items, dataset.consumers
-    # Warm both shared pools outside the timed region, so the cluster
-    # number measures dispatch, not one-time process forking.
-    for backend in ("processes", "cluster"):
-        resolve_executor(backend, max_workers=workers).run_tasks(
-            _noop, [(0,)]
-        )
-    process_rows, process_seconds = _timed_join(
-        "processes", workers, items, consumers, sigma, repeats
+    # Warm the shared fleet outside the timed region, so the cluster
+    # number measures dispatch, not one-time process spawning.
+    resolve_executor("cluster", max_workers=workers).run_tasks(
+        _noop, [(0,)]
+    )
+    serial_rows, serial_seconds = _timed_join(
+        "serial", workers, items, consumers, sigma, repeats
     )
     cluster_rows, cluster_seconds = _timed_join(
         "cluster", workers, items, consumers, sigma, repeats
@@ -113,11 +113,11 @@ def bench_cluster_join(
         "scale": scale,
         "sigma": sigma,
         "workers": workers,
-        "rows": len(process_rows),
-        "rows_identical": process_rows == cluster_rows,
-        "processes_seconds": round(process_seconds, 4),
+        "rows": len(serial_rows),
+        "rows_identical": serial_rows == cluster_rows,
+        "serial_seconds": round(serial_seconds, 4),
         "cluster_seconds": round(cluster_seconds, 4),
-        "slowdown": round(cluster_seconds / process_seconds, 2),
+        "slowdown": round(cluster_seconds / serial_seconds, 2),
         "ceiling": CEILING,
     }
 
@@ -126,13 +126,13 @@ def check_regression(result: Dict) -> int:
     """Exit 1 on row divergence or a wall-clock ratio past CEILING."""
     if not result["rows_identical"]:
         print(
-            "FAIL: cluster join rows diverge from the processes "
+            "FAIL: cluster join rows diverge from the serial "
             "backend (bit-identity contract broken)"
         )
         return 1
     print(
         f"regression check: cluster {result['cluster_seconds']:.3f}s vs "
-        f"processes {result['processes_seconds']:.3f}s — "
+        f"serial {result['serial_seconds']:.3f}s — "
         f"{result['slowdown']:.2f}x (ceiling {result['ceiling']:.1f}x)"
     )
     if result["slowdown"] > result["ceiling"]:
@@ -165,7 +165,7 @@ def main(argv=None) -> int:
         "--workers",
         type=int,
         default=2,
-        help="worker count for both backends (default 2)",
+        help="cluster fleet size (default 2)",
     )
     parser.add_argument(
         "--write",
@@ -185,8 +185,8 @@ def main(argv=None) -> int:
     result = bench_cluster_join(scale, args.sigma, args.workers, repeats)
     print(
         f"join e2e ({result['rows']} rows @ sigma {result['sigma']}, "
-        f"{result['workers']} workers): processes "
-        f"{result['processes_seconds']:.3f}s -> cluster "
+        f"{result['workers']} workers): serial "
+        f"{result['serial_seconds']:.3f}s -> cluster "
         f"{result['cluster_seconds']:.3f}s  "
         f"({result['slowdown']:.2f}x, identical="
         f"{result['rows_identical']})"

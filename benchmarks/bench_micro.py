@@ -72,13 +72,13 @@ def test_runtime_shuffle_wordcount(benchmark):
     assert result
 
 
-@pytest.mark.parametrize("backend", ["serial", "processes"])
+@pytest.mark.parametrize("backend", ["serial", "cluster"])
 def test_runtime_backend_comparison(benchmark, backend):
     """Same wordcount on each execution backend (results identical).
 
-    The interesting quantity is the relative wall time: ``processes``
-    measures pickling plus true CPU parallelism across 8 map / 8 reduce
-    tasks.
+    The interesting quantity is the relative wall time: ``cluster``
+    measures pickling and TCP frames plus true CPU parallelism across
+    8 map / 8 reduce tasks.
     """
     rng = random.Random(0)
     words = [f"w{rng.randint(0, 2000)}" for _ in range(40000)]

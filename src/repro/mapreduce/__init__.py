@@ -17,7 +17,7 @@ Public API::
     output = runtime.run(WordCount(), [(0, "a b a")])
 
 Both halves of the execution model are pluggable: compute via
-``backend="serial" | "processes" | "cluster"`` (see
+``backend="serial" | "cluster"`` (see
 :mod:`repro.mapreduce.executors`) and storage via ``storage="memory" |
 "disk"`` plus ``spill_threshold=`` for the external sort-and-spill
 shuffle (see :mod:`repro.mapreduce.storage`).  Results are
@@ -39,7 +39,6 @@ from .errors import (
 from .executors import (
     EXECUTOR_BACKENDS,
     Executor,
-    ProcessExecutor,
     SerialExecutor,
     resolve_executor,
     shutdown_shared_pools,
@@ -117,7 +116,6 @@ __all__ = [
     "Pipeline",
     "PipelineStage",
     "PoisonedEvent",
-    "ProcessExecutor",
     "Quiet",
     "ResidentStateStore",
     "Retired",

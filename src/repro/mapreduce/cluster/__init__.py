@@ -1,7 +1,7 @@
 """Distributed cluster backend: driver/worker protocol over TCP.
 
-This package promotes the executor layer from shared-heap process
-pools to a real (if localhost-bound) cluster: a
+This package is the executor layer's multi-process backend, a real
+(if localhost-bound) cluster: a
 :class:`~repro.mapreduce.cluster.driver.ClusterDriver` assigns task
 units to :mod:`worker <repro.mapreduce.cluster.worker>` daemon
 processes over length-prefixed socket frames, workers keep their large
@@ -18,7 +18,7 @@ ClusterExecutor` satisfies the existing
 the iterative driver, the matching layer, and the serving layer all
 inherit the distributed backend without API changes — and, crucially,
 so the cluster joins the bit-identical-across-backends verification
-battery the other backends already pass.
+battery the serial backend anchors.
 """
 
 from .driver import ClusterDriver, TaskLost, WorkerDied

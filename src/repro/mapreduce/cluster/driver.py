@@ -9,14 +9,11 @@ re-executes their in-flight tasks elsewhere, respawns dead workers
 blobs, exactly like a remachined node), and races straggling tasks
 with speculative backup attempts.
 
-The driver is *also* the shared pool behind ``backend="cluster"``: it
-duck-types the ``shutdown(wait, cancel_futures)`` surface the shared
-pool registry expects, and it exposes the same ``pool_respawns`` /
-``resubmitted_tasks`` lifetime meters as
-:class:`~repro.mapreduce.executors.ProcessExecutor`, so the runtime's
-recovery metering (``pool.respawns`` / ``task.resubmits`` in the
-volatile ``faults`` group) covers the cluster without a single runtime
-change.
+The driver is *also* the shared fleet behind ``backend="cluster"``
+(see :mod:`~repro.mapreduce.cluster.executor`), and its
+``pool_respawns`` / ``resubmitted_tasks`` lifetime meters feed the
+runtime's recovery metering (``pool.respawns`` / ``task.resubmits`` in
+the volatile ``faults`` group).
 
 Dispatch model
 --------------
@@ -81,8 +78,8 @@ class WorkerDied(ExecutorError):
 
 
 def _default_cluster_workers() -> int:
-    # Each worker is a full daemon process with its own socket server;
-    # cap lower than the in-process pools.
+    # Each worker is a full daemon process with its own socket server,
+    # so the fleet stays small even on many-core machines.
     return min(os.cpu_count() or 1, 4)
 
 
@@ -173,8 +170,7 @@ class ClusterDriver:
         HeartbeatMonitor`).
     max_worker_respawns:
         Worker deaths tolerated per dispatch before the batch fails
-        with :class:`WorkerDied` (mirrors
-        ``ProcessExecutor.max_pool_respawns``).
+        with :class:`WorkerDied`.
     """
 
     def __init__(
@@ -198,8 +194,8 @@ class ClusterDriver:
         self.start_timeout = start_timeout
         self.fetch_retries = fetch_retries
         self.max_task_failures = max_task_failures
-        #: Lifetime recovery meters; same names as ProcessExecutor, so
-        #: the runtime's before/after delta metering applies verbatim.
+        #: Lifetime recovery meters, read by the runtime's
+        #: before/after delta metering of each dispatch.
         self.pool_respawns = 0
         self.resubmitted_tasks = 0
         #: Worker slot that produced each accepted result of the most
@@ -315,13 +311,11 @@ class ClusterDriver:
                 )
             time.sleep(0.005)
 
-    def shutdown(
-        self, wait: bool = True, cancel_futures: bool = False
-    ) -> None:
+    def shutdown(self, wait: bool = True) -> None:
         """Stop the heartbeat, ask workers to exit, reap stragglers.
 
-        Matches the pool ``shutdown`` surface the shared-pool registry
-        and ``atexit`` hook call; safe to invoke repeatedly.
+        ``wait=False`` gives workers a shorter grace period before they
+        are killed.  Safe to invoke repeatedly.
         """
         with self._start_lock:
             handles, self._handles = self._handles, []

@@ -16,8 +16,8 @@ Failure surface
 ---------------
 
 * :class:`ProtocolError` — the stream is not speaking this protocol
-  (bad magic, unsupported version, oversized header): a *permanent*
-  error, never retried.
+  (bad magic, unsupported version, oversized or unparseable header): a
+  *permanent* error, never retried.
 * :class:`ConnectionClosed` — the peer hung up mid-frame (worker
   death, injected frame drop).  A :class:`ConnectionError` subclass,
   so generic ``except OSError`` recovery treats it like any other
@@ -173,7 +173,9 @@ def recv_frame(
         )
     try:
         header = json.loads(_recv_exact(sock, header_len))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
+        # RecursionError: a deeply nested header exhausts the decoder's
+        # stack — garbage on the wire all the same, not a crash.
         raise ProtocolError(f"unparseable frame header: {exc}") from exc
     if not isinstance(header, dict):
         raise ProtocolError(

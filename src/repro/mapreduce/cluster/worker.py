@@ -7,8 +7,7 @@ a ``ready.json`` (port + pid) into its per-generation spill directory,
 and then serves protocol frames forever:
 
 * ``task`` — unpickle ``(fn, args)``, execute guarded (job errors come
-  back as values, exactly like the processes backend's trampoline),
-  and reply with the pickled outcome.  Outcomes larger than the blob
+  back as values, keeping their original type), and reply with the pickled outcome.  Outcomes larger than the blob
   threshold stay *worker-local*: the pickled bytes are written to this
   worker's spill directory and the reply carries only a
   :class:`~repro.mapreduce.cluster.protocol.RemoteBlob` handle — the
@@ -56,6 +55,7 @@ import threading
 import time
 from typing import Any, Dict, Optional
 
+from ..errors import ExecutorError
 from .protocol import (
     RemoteBlob,
     recv_frame,
@@ -98,6 +98,26 @@ def consume_drop_reply() -> bool:
     armed = bool(_STATE["drop_reply"])
     _STATE["drop_reply"] = False
     return armed
+
+
+def _run_guarded(fn: Any, task: tuple) -> tuple:
+    """Task trampoline: capture task errors as return values.
+
+    Returning ``(False, exc)`` instead of raising keeps the *original*
+    exception instance intact across the process boundary, so a
+    ``JobValidationError`` raised inside a worker surfaces to the caller
+    as a ``JobValidationError`` — not as a transport error.
+    """
+    try:
+        return True, fn(*task)
+    except Exception as exc:
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            exc = ExecutorError(
+                f"task raised unpicklable {type(exc).__name__}: {exc}"
+            )
+        return False, exc
 
 
 class _BlobStore:
@@ -160,8 +180,6 @@ class _WorkerServer:
 
     def handle_task(self, header: Dict, payload: bytes) -> tuple:
         """Execute one task unit; returns ``(reply_header, payload)``."""
-        from ..executors import _run_guarded
-
         try:
             fn, args = pickle.loads(payload)
         except Exception as exc:

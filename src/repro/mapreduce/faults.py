@@ -468,7 +468,7 @@ class FaultPlan:
 
 # -- the in-worker retry wrapper ---------------------------------------------
 #
-# A module-level function so the processes backend can pickle it by
+# A module-level function so the cluster backend can pickle it by
 # reference; fault specs are precomputed driver-side (deterministic and
 # picklable) and travel with the task arguments.
 

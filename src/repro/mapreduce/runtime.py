@@ -20,8 +20,8 @@ Execution model
 The runtime is faithful to MapReduce's *execution* model as well as its
 programming model: every phase is decomposed into independent task
 units and dispatched through an :class:`~repro.mapreduce.executors.
-Executor` (``backend="serial" | "processes" | "cluster"`` — the last a real localhost worker fleet over TCP, see
-:mod:`repro.mapreduce.cluster`).
+Executor` (``backend="serial" | "cluster"`` — the latter a real
+localhost worker fleet over TCP, see :mod:`repro.mapreduce.cluster`).
 
 * A **map task** is one unit of work: it applies ``job.map`` to every
   record of its split, optionally re-executes itself speculatively and
@@ -100,7 +100,7 @@ counter totals are bit-identical across backends and worker counts
 the spill counters, across filesystems and spill thresholds
 (property-tested in ``tests/mapreduce/test_storage_spill.py``).
 Because tasks may execute in separate processes, jobs must be
-stateless and — for the ``processes`` backend — picklable together
+stateless and — for the ``cluster`` backend — picklable together
 with their side data and records.
 """
 
@@ -208,12 +208,12 @@ class MapReduceRuntime:
         a real cluster.  Costs 2x map work; intended for tests.
     backend:
         Execution backend for map and reduce tasks: ``"serial"``
-        (default), ``"processes"``, ``"cluster"``
-        (worker daemon processes over localhost TCP sockets), or any
+        (default), ``"cluster"`` (worker daemon processes over
+        localhost TCP sockets), or any
         :class:`~repro.mapreduce.executors.Executor` instance.  Results
         and counters are bit-identical across backends.
     max_workers:
-        Worker-pool size for the parallel backends; ignored by
+        Worker-fleet size for the cluster backend; ignored by
         ``"serial"`` and by pre-built executor instances.
     storage:
         Storage backend for inter-job datasets: ``"memory"``
@@ -243,7 +243,7 @@ class MapReduceRuntime:
         ``max_attempts > 1``, failed task attempts re-execute (the
         failed attempt's counters are discarded whole, so totals stay
         bit-identical) and transient storage errors are retried
-        driver-side; with ``task_timeout`` set and a parallel backend,
+        driver-side; with ``task_timeout`` set and the cluster backend,
         straggling tasks get a speculative backup attempt and the
         first finisher wins.  Recovery activity is metered under the
         volatile ``faults`` counter group.
@@ -365,7 +365,7 @@ class MapReduceRuntime:
         """Dispatch task units, recording per-task spans when tracing.
 
         The timing wrapper runs *inside* the task (picklable, so the
-        processes backend measures the same way), and leaf spans are
+        cluster backend measures the same way), and leaf spans are
         recorded driver-side in task-index order under whichever span
         is currently open.
 
@@ -976,7 +976,7 @@ class MapReduceRuntime:
 
 # -- task units of work ------------------------------------------------------
 #
-# Module-level functions (not methods) so the processes backend can
+# Module-level functions (not methods) so the cluster backend can
 # pickle them by reference.  Each returns ``(records, Counters)``; the
 # runtime merges the counters in task-index order.
 

@@ -4,7 +4,8 @@ Four layers of the distributed plane, bottom-up:
 
 * **frame codec** — length-prefixed frames round-trip any header +
   payload, and every malformed-stream shape (bad magic, truncation,
-  oversized header) fails with the right exception class;
+  oversized or unparseable header, arbitrary garbage) fails with the
+  right exception class;
 * **heartbeat state machine** — the alive → suspect → dead ladder is a
   pure function of injected clock readings, so worker-death detection
   is tested without a single real socket or sleep;
@@ -14,8 +15,7 @@ Four layers of the distributed plane, bottom-up:
   results identical to what a healthy fleet returns;
 * **executor equivalence** — ``--backend cluster`` plugged into the
   full :class:`MapReduceRuntime` produces output records, ``job_log``,
-  and volatile-stripped counters bit-identical to ``serial``, the same
-  contract the processes backend already carries.
+  and volatile-stripped counters bit-identical to ``serial``.
 
 Everything here runs real worker processes, so the whole module wears
 the ``cluster`` marker (deselect with ``-m "not cluster"``).
@@ -25,9 +25,12 @@ import multiprocessing
 import os
 import signal
 import socket
+import threading
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.mapreduce import (
     Counters,
@@ -50,8 +53,15 @@ from repro.mapreduce.cluster import (
     send_frame,
 )
 from repro.mapreduce.cluster.heartbeat import ALIVE, DEAD, SUSPECT
-from repro.mapreduce.cluster.protocol import connect, request
-from repro.mapreduce.executors import _SHARED_POOLS
+from repro.mapreduce.cluster.executor import _peek_fleet
+from repro.mapreduce.cluster.protocol import (
+    _MAX_HEADER,
+    _PREFIX,
+    MAGIC,
+    PROTOCOL_VERSION,
+    connect,
+    request,
+)
 from repro.mapreduce.faults import _claim_once
 from repro.mapreduce.state import strip_volatile_counters
 from repro.telemetry import MetricsRegistry
@@ -201,8 +211,6 @@ def test_recv_reports_clean_close_and_mid_frame_truncation():
 
 
 def test_recv_rejects_oversized_header_declaration():
-    from repro.mapreduce.cluster.protocol import _MAX_HEADER, _PREFIX, MAGIC
-
     left, right = _pair()
     try:
         left.sendall(_PREFIX.pack(MAGIC, 1, _MAX_HEADER + 1, 0))
@@ -211,6 +219,73 @@ def test_recv_rejects_oversized_header_declaration():
     finally:
         left.close()
         right.close()
+
+
+def _feed(data):
+    """A reader socket whose peer writes ``data`` and hangs up.
+
+    The write runs on its own thread, so payloads larger than the
+    socket buffer cannot deadlock the test; the reader gets a timeout,
+    so a ``recv_frame`` that waits for bytes never coming fails loudly
+    instead of hanging the suite.
+    """
+    left, right = _pair()
+    right.settimeout(5.0)
+
+    def write():
+        try:
+            left.sendall(data)
+        except OSError:
+            pass  # the reader gave up early; nothing left to prove
+        finally:
+            left.close()
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    return right, writer
+
+
+def test_recv_rejects_deeply_nested_header():
+    """A header nested past the JSON decoder's recursion limit is
+    garbage on the wire: ProtocolError, not RecursionError."""
+    header = b"[" * 100000
+    reader, writer = _feed(
+        _PREFIX.pack(MAGIC, PROTOCOL_VERSION, len(header), 0) + header
+    )
+    try:
+        with pytest.raises(ProtocolError, match="unparseable"):
+            recv_frame(reader)
+    finally:
+        reader.close()
+        writer.join(timeout=5.0)
+
+
+@given(
+    garbage=st.binary(max_size=256),
+    framed=st.booleans(),
+    payload_len=st.integers(min_value=0, max_value=(1 << 64) - 1),
+)
+def test_recv_frame_on_arbitrary_bytes_fails_only_as_protocol_errors(
+    garbage, framed, payload_len
+):
+    """Whatever arrives — raw garbage, or garbage as the header and
+    payload of a well-formed prefix — ``recv_frame`` returns a frame
+    or raises ProtocolError / ConnectionClosed, and never hangs."""
+    data = garbage
+    if framed:
+        data = (
+            _PREFIX.pack(MAGIC, PROTOCOL_VERSION, len(garbage), payload_len)
+            + garbage
+        )
+    reader, writer = _feed(data)
+    try:
+        header, _ = recv_frame(reader)
+        assert isinstance(header, dict)
+    except (ProtocolError, ConnectionClosed):
+        pass
+    finally:
+        reader.close()
+        writer.join(timeout=5.0)
 
 
 def test_remote_blob_header_round_trip():
@@ -477,7 +552,7 @@ def test_worker_death_budget_exhaustion_raises_worker_died():
         driver.shutdown()
 
 
-# -- executor: contract, shared pool, reaping -------------------------------
+# -- executor: contract, shared fleet, reaping ------------------------------
 
 
 def test_resolve_executor_knows_cluster():
@@ -502,10 +577,10 @@ def test_cluster_executor_close_reaps_workers():
             if p.pid not in baseline
         ]
         assert len(spawned) == 2
-        assert ("cluster", 2) in _SHARED_POOLS
+        assert _peek_fleet(2) is not None
     finally:
         executor.close()
-    assert ("cluster", 2) not in _SHARED_POOLS
+    assert _peek_fleet(2) is None
     deadline = time.monotonic() + 10.0
     while time.monotonic() < deadline:
         if not [

@@ -3,11 +3,11 @@
 The heart of the pluggable-executor contract: for any job, input, and
 task-count choice, the output records, the ``job_log``, and the merged
 counter totals must be *bit-identical* across the ``serial`` and
-``processes`` backends (``cluster`` has its own suite in
-``test_cluster.py``).  These tests also cover the
+``cluster`` backends (the cluster's transport and recovery have their
+own suite in ``test_cluster.py``).  These tests also cover the
 failure paths — job errors must traverse the process boundary with
 their original type, and unpicklable work must fail with a diagnosable
-:class:`ExecutorError` rather than a bare pool error.
+:class:`ExecutorError` rather than a bare transport error.
 """
 
 import random
@@ -27,17 +27,17 @@ from repro.mapreduce import (
     MapReduceJob,
     MapReduceRuntime,
     Pipeline,
-    ProcessExecutor,
     SerialExecutor,
     resolve_executor,
 )
+from repro.mapreduce.cluster import ClusterExecutor
 from repro.matching import greedy_mr_b_matching, stack_mr_b_matching
 from repro.simjoin import mapreduce_similarity_join
 
-PARALLEL_BACKENDS = ("processes",)
+PARALLEL_BACKENDS = ("cluster",)
 
 
-# -- module-level jobs (picklable for the processes backend) ---------------
+# -- module-level jobs (picklable for the cluster backend) -----------------
 
 
 class WordCount(MapReduceJob):
@@ -106,18 +106,21 @@ def _maybe_fail(x):
 
 def test_resolve_executor_names_and_aliases():
     assert isinstance(resolve_executor("serial"), SerialExecutor)
-    assert isinstance(resolve_executor("processes"), ProcessExecutor)
-    assert isinstance(resolve_executor("multiprocessing"), ProcessExecutor)
+    assert isinstance(resolve_executor("cluster"), ClusterExecutor)
+    assert isinstance(resolve_executor("distributed"), ClusterExecutor)
     assert isinstance(resolve_executor(None), SerialExecutor)
-    existing = ProcessExecutor(max_workers=2)
+    existing = ClusterExecutor(max_workers=2)
     assert resolve_executor(existing) is existing
 
 
 def test_resolve_executor_rejects_unknown():
     with pytest.raises(ExecutorError, match="unknown executor backend"):
         resolve_executor("gpu")
-    with pytest.raises(ExecutorError, match="serial, processes, cluster"):
+    with pytest.raises(ExecutorError, match="serial, cluster"):
         resolve_executor(42)
+    # The cluster is the only multi-process backend.
+    with pytest.raises(ExecutorError, match="unknown executor backend"):
+        resolve_executor("processes")
 
 
 @pytest.mark.parametrize("name", EXECUTOR_BACKENDS)
@@ -139,7 +142,7 @@ def test_run_tasks_propagates_original_exception(name):
 
 def test_runtime_exposes_backend_name():
     assert MapReduceRuntime().backend == "serial"
-    assert MapReduceRuntime(backend="processes").backend == "processes"
+    assert MapReduceRuntime(backend="cluster").backend == "cluster"
 
 
 def test_shared_pools_recreate_after_shutdown():
@@ -147,7 +150,7 @@ def test_shared_pools_recreate_after_shutdown():
 
     records = [(0, "a b a")]
     baseline = MapReduceRuntime().run(WordCount(), records)
-    runtime = MapReduceRuntime(backend="processes")
+    runtime = MapReduceRuntime(backend="cluster", max_workers=2)
     assert runtime.run(WordCount(), records) == baseline
     shutdown_shared_pools()
     # Pools are lazily rebuilt: the same runtime keeps working.
@@ -155,10 +158,10 @@ def test_shared_pools_recreate_after_shutdown():
 
 
 def test_pipeline_accepts_backend_name():
-    pipeline = Pipeline(backend="processes")
-    assert pipeline.runtime.backend == "processes"
+    pipeline = Pipeline(backend="cluster")
+    assert pipeline.runtime.backend == "cluster"
     with pytest.raises(Exception, match="not both"):
-        Pipeline(runtime=MapReduceRuntime(), backend="processes")
+        Pipeline(runtime=MapReduceRuntime(), backend="cluster")
 
 
 def test_counters_survive_pickling():
@@ -341,6 +344,6 @@ def test_unpicklable_job_fails_with_executor_error():
         def reduce(self, key, values):
             yield key, list(values)
 
-    runtime = MapReduceRuntime(backend="processes")
+    runtime = MapReduceRuntime(backend="cluster", max_workers=2)
     with pytest.raises(ExecutorError, match="picklable"):
         runtime.run(LocalJob(), [(1, "a"), (2, "b")])

@@ -25,14 +25,14 @@ from repro.mapreduce import (
     LocalDiskFileSystem,
     MapReduceJob,
     MapReduceRuntime,
-    ProcessExecutor,
     RetryPolicy,
     RetryingFileSystem,
     FaultyFileSystem,
     TaskFaultSpec,
     fired_specs,
 )
-from repro.mapreduce.executors import _SHARED_POOLS
+from repro.mapreduce.cluster import ClusterExecutor
+from repro.mapreduce.cluster.executor import _peek_fleet
 from repro.mapreduce.faults import _claim_once
 from repro.mapreduce.state import strip_volatile_counters
 from repro.mapreduce.storage import InMemoryFileSystem
@@ -47,7 +47,7 @@ CHAOS_SEEDS = (1, 2, 3)
 CHAOS_RATES = dict(crash_rate=0.35, delay_rate=0.15, io_rate=0.25)
 
 
-# -- module-level jobs (picklable for the processes backend) ---------------
+# -- module-level jobs (picklable for the cluster backend) -----------------
 
 
 class Histogram(MapReduceJob):
@@ -67,9 +67,9 @@ class KamikazeOnce(MapReduceJob):
     """First map task to run kills its whole worker process.
 
     The sentinel file makes the crash once-per-run (machine-scoped),
-    so re-executions after the pool respawn succeed — the abrupt
-    worker-death shape (OOM kill, segfault) that ``BrokenProcessPool``
-    reports, as opposed to a clean task exception.
+    so re-executions after the worker respawn succeed — the abrupt
+    worker-death shape (OOM kill, segfault) that the cluster driver
+    detects, as opposed to a clean task exception.
     """
 
     def __init__(self, sentinel):
@@ -82,13 +82,6 @@ class KamikazeOnce(MapReduceJob):
 
     def reduce(self, key, values):
         yield key, sum(values)
-
-
-def _exit_once(sentinel, value):
-    """Plain task-function variant of the same worker-death shape."""
-    if _claim_once(sentinel):
-        os._exit(13)
-    return value
 
 
 def _identity(value):
@@ -320,23 +313,10 @@ def test_chaos_fault_metering_is_backend_independent(backend):
     assert observed == reference
 
 
-# -- worker death: the pool respawns and the job completes -----------------
+# -- worker death: the worker respawns and the job completes ---------------
 
 
-def test_process_pool_respawns_after_worker_death(tmp_path):
-    executor = ProcessExecutor(max_workers=2)
-    try:
-        sentinel = str(tmp_path / "boom")
-        results = executor.run_tasks(
-            _exit_once, [(sentinel, i) for i in range(6)]
-        )
-        assert results == list(range(6))
-        assert executor.pool_respawns >= 1
-        assert executor.resubmitted_tasks >= 1
-    finally:
-        executor.close()
-
-
+@pytest.mark.cluster
 def test_runtime_job_survives_worker_death(tmp_path):
     records = [(i, i) for i in range(12)]
     # Fault-free reference: the sentinel already exists.
@@ -344,7 +324,7 @@ def test_runtime_job_survives_worker_death(tmp_path):
     baseline_sentinel.touch()
     with _cell_runtime("serial") as clean:
         baseline = clean.run(KamikazeOnce(str(baseline_sentinel)), records)
-    with _cell_runtime("processes") as runtime:
+    with _cell_runtime("cluster") as runtime:
         output = runtime.run(
             KamikazeOnce(str(tmp_path / "boom")), records
         )
@@ -488,7 +468,7 @@ def _straggler_runtime(backend, tmp, **kwargs):
     )
 
 
-@pytest.mark.parametrize("backend", ("processes",))
+@pytest.mark.parametrize("backend", ("cluster",))
 def test_speculative_backup_beats_straggler(backend, tmp_path):
     baseline = _straggler_runtime("serial", str(tmp_path / "clean")).run(
         Histogram(), RECORDS
@@ -510,32 +490,36 @@ def test_speculative_backup_beats_straggler(backend, tmp_path):
     assert faults["injected_delay"] > 0
 
 
-# -- shared pools: close() and size-change eviction ------------------------
+# -- the shared fleet: close() and size-change eviction --------------------
 
 
+@pytest.mark.cluster
 def test_executor_close_evicts_its_shared_pool():
-    executor = ProcessExecutor(max_workers=2)
+    executor = ClusterExecutor(max_workers=2)
     assert executor.run_tasks(_identity, [(1,)]) == [1]
-    assert ("processes", 2) in _SHARED_POOLS
+    assert _peek_fleet(2) is not None
     executor.close()
-    assert ("processes", 2) not in _SHARED_POOLS
-    # close() is idempotent, and the pool lazily rebuilds on reuse.
+    assert _peek_fleet(2) is None
+    # close() is idempotent, and the fleet lazily rebuilds on reuse.
     executor.close()
     assert executor.run_tasks(_identity, [(2,)]) == [2]
     executor.close()
 
 
+@pytest.mark.cluster
 def test_changing_worker_count_evicts_the_stale_pool():
-    small = ProcessExecutor(max_workers=2)
+    small = ClusterExecutor(max_workers=2)
     assert small.run_tasks(_identity, [(1,)]) == [1]
-    assert ("processes", 2) in _SHARED_POOLS
-    large = ProcessExecutor(max_workers=3)
+    stale = _peek_fleet(2)
+    assert stale is not None
+    large = ClusterExecutor(max_workers=3)
     assert large.run_tasks(_identity, [(2,)]) == [2]
-    # One pool per kind: asking for a different size evicted the old
-    # one instead of accumulating idle worker fleets.
-    assert ("processes", 2) not in _SHARED_POOLS
-    assert ("processes", 3) in _SHARED_POOLS
-    # The evicted executor still works — its pool rebuilds on demand.
+    # One fleet per process: asking for a different size evicted the
+    # old one instead of accumulating idle worker daemons.
+    assert _peek_fleet(2) is None
+    assert _peek_fleet(3) is not None
+    assert stale.worker_pids() == []  # the evicted fleet was shut down
+    # The evicted executor still works — its fleet rebuilds on demand.
     assert small.run_tasks(_identity, [(3,)]) == [3]
     small.close()
     large.close()

@@ -6,7 +6,7 @@ counter totals (minus the spill counters) are bit-identical across
 * filesystems (``memory`` / ``disk``),
 * spill thresholds (``None`` = never spill, ``0`` = spill every
   record, and sizes in between), and
-* execution backends (``serial`` / ``processes``)
+* execution backends (``serial`` / ``cluster``)
 
 — plus the crash-safety clause: a failing job never leaves a visible
 partial dataset, on any filesystem.
@@ -36,7 +36,7 @@ from repro.simjoin import mapreduce_similarity_join
 SPILL_THRESHOLDS = (None, 0, 1, 7)
 
 
-# -- module-level jobs (picklable for the processes backend) ---------------
+# -- module-level jobs (picklable for the cluster backend) -----------------
 
 
 class WordCount(MapReduceJob):
@@ -298,7 +298,7 @@ def test_wordcount_identical_across_backends_with_spill(
 ):
     records = [(i, "a b c a b a" * (1 + i % 3)) for i in range(30)]
     baseline = _observe(WordCount, records, tmp_path=tmp_path)
-    for backend in ("serial", "processes"):
+    for backend in ("serial", "cluster"):
         observed = _observe(
             WordCount,
             records,

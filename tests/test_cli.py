@@ -348,7 +348,9 @@ def test_serve_accepts_cluster_options(corpus_dir, capsys):
             "--events",
             "12",
             "--backend",
-            "processes",
+            "cluster",
+            "--workers",
+            "2",
             "--fs",
             "disk",
             "--spill-threshold",
