@@ -4,11 +4,10 @@ This package is the executor layer's multi-process backend, a real
 (if localhost-bound) cluster: a
 :class:`~repro.mapreduce.cluster.driver.ClusterDriver` assigns task
 units to :mod:`worker <repro.mapreduce.cluster.worker>` daemon
-processes over length-prefixed socket frames, workers keep their large
-task outputs in worker-local spill files and serve them over the same
-data plane on demand, and the driver supervises the fleet with
-heartbeats, worker-death detection with task re-execution, and
-straggler speculative backups.
+processes over length-prefixed socket frames, every task result
+returns inline on the connection that carried the task, and the
+driver supervises the fleet with heartbeats, worker-death detection
+with task re-execution, and straggler speculative backups.
 
 The public entry point is ``backend="cluster"`` on
 :class:`~repro.mapreduce.runtime.MapReduceRuntime` (or ``--backend
@@ -27,7 +26,6 @@ from .heartbeat import HeartbeatMonitor
 from .protocol import (
     ConnectionClosed,
     ProtocolError,
-    RemoteBlob,
     recv_frame,
     send_frame,
 )
@@ -38,7 +36,6 @@ __all__ = [
     "ConnectionClosed",
     "HeartbeatMonitor",
     "ProtocolError",
-    "RemoteBlob",
     "TaskLost",
     "WorkerDied",
     "recv_frame",

@@ -5,9 +5,9 @@
 it assigns task units to workers over the frame protocol, pings every
 worker on a heartbeat cadence, declares silent workers dead and
 re-executes their in-flight tasks elsewhere, respawns dead workers
-(with fresh spill directories — a restarted worker has lost its
-blobs, exactly like a remachined node), and races straggling tasks
-with speculative backup attempts.
+(each into a fresh generation directory), and races straggling tasks
+with speculative backup attempts.  Every task result returns inline
+on the worker's control connection.
 
 The driver is *also* the shared fleet behind ``backend="cluster"``
 (see :mod:`~repro.mapreduce.cluster.executor`), and its
@@ -24,7 +24,7 @@ per worker pulls from it, executes over that worker's control
 connection, and stores the outcome under the task's index — so results
 come back in input order and the first task-order failure raises,
 preserving the backend bit-identity contract.  A thread whose
-interaction fails (connection drop, worker death, lost blob) re-queues
+interaction fails (connection drop, worker death) re-queues
 the task and runs recovery on its worker: reconnect if the process is
 alive (a dropped frame), respawn it if not, giving up with
 :class:`WorkerDied` once the dispatch's respawn budget is spent.
@@ -55,9 +55,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..errors import ExecutorError
 from .heartbeat import DEAD, HeartbeatMonitor
 from .protocol import (
-    ConnectionClosed,
+    _MAX_PAYLOAD,
     ProtocolError,
-    RemoteBlob,
     connect,
     recv_frame,
     request,
@@ -69,8 +68,8 @@ __all__ = ["ClusterDriver", "TaskLost", "WorkerDied"]
 
 
 class TaskLost(ConnectionError):
-    """A task attempt's result is unrecoverable (lost blob, dead
-    worker, dropped frame); the task will be re-executed."""
+    """A task attempt's result is unrecoverable (dead worker, dropped
+    frame, undecodable reply); the task will be re-executed."""
 
 
 class WorkerDied(ExecutorError):
@@ -92,9 +91,9 @@ class _WorkerHandle:
         self.process: Optional[multiprocessing.process.BaseProcess] = None
         self.port: Optional[int] = None
         self.pid: Optional[int] = None
-        #: This generation's private spill directory (holds the
-        #: worker's blobs and its ``ready.json`` announcement).
-        self.spill_dir: Optional[str] = None
+        #: This generation's private directory (holds the worker's
+        #: ``ready.json`` announcement).
+        self.generation_dir: Optional[str] = None
         #: Serializes respawn/declare-dead decisions for this slot.
         self.lock = threading.Lock()
         #: Guards the socket attributes (assigned and closed from
@@ -159,11 +158,6 @@ class ClusterDriver:
     ----------
     num_workers:
         Fleet size (default: ``min(cpu_count, 4)``).
-    blob_threshold:
-        Task results whose pickled size exceeds this stay in the
-        producing worker's local spill files and come back as
-        :class:`~repro.mapreduce.cluster.protocol.RemoteBlob` handles,
-        fetched over the data plane on demand.
     heartbeat_interval, miss_limit:
         Ping cadence and the silent-interval budget before a worker is
         declared dead (see :class:`~repro.mapreduce.cluster.heartbeat.
@@ -176,23 +170,19 @@ class ClusterDriver:
     def __init__(
         self,
         num_workers: Optional[int] = None,
-        blob_threshold: int = 256 * 1024,
         heartbeat_interval: float = 0.5,
         miss_limit: int = 10,
         max_worker_respawns: int = 6,
         connect_timeout: float = 10.0,
         start_timeout: float = 20.0,
-        fetch_retries: int = 3,
         max_task_failures: int = 10,
     ) -> None:
         self.num_workers = num_workers or _default_cluster_workers()
-        self.blob_threshold = blob_threshold
         self.heartbeat_interval = heartbeat_interval
         self.miss_limit = miss_limit
         self.max_worker_respawns = max_worker_respawns
         self.connect_timeout = connect_timeout
         self.start_timeout = start_timeout
-        self.fetch_retries = fetch_retries
         self.max_task_failures = max_task_failures
         #: Lifetime recovery meters, read by the runtime's
         #: before/after delta metering of each dispatch.
@@ -205,14 +195,12 @@ class ClusterDriver:
         self.tasks_by_worker: Dict[int, int] = {}
         #: High-water mark of the pending queue (telemetry gauge).
         self.queue_depth_highwater = 0
-        #: Test hook: called with the RemoteBlob before every fetch.
-        self._before_fetch: Optional[Callable[[RemoteBlob], None]] = None
 
         self._start_lock = threading.Lock()
         self._dispatch_lock = threading.Lock()
         self._handles: List[_WorkerHandle] = []
         self._ctx = multiprocessing.get_context()
-        self._spill_root: Optional[str] = None
+        self._fleet_root: Optional[str] = None
         self._monitor: Optional[HeartbeatMonitor] = None
         self._mon_lock = threading.Lock()
         self._stop: Optional[threading.Event] = None
@@ -224,7 +212,7 @@ class ClusterDriver:
         with self._start_lock:
             if self._handles:
                 return
-            self._spill_root = tempfile.mkdtemp(prefix="repro-cluster-")
+            self._fleet_root = tempfile.mkdtemp(prefix="repro-cluster-")
             self._monitor = HeartbeatMonitor(
                 self.heartbeat_interval, self.miss_limit
             )
@@ -246,18 +234,13 @@ class ClusterDriver:
 
     def _launch(self, handle: _WorkerHandle) -> None:
         handle.generation += 1
-        handle.spill_dir = os.path.join(
-            self._spill_root,
+        handle.generation_dir = os.path.join(
+            self._fleet_root,
             f"w{handle.slot}-g{handle.generation}",
         )
         process = self._ctx.Process(
             target=worker_main,
-            args=(
-                handle.slot,
-                handle.generation,
-                handle.spill_dir,
-                self.blob_threshold,
-            ),
+            args=(handle.slot, handle.generation, handle.generation_dir),
             name=f"repro-cluster-w{handle.slot}",
             daemon=True,
         )
@@ -274,7 +257,7 @@ class ClusterDriver:
     def _await_ready(self, handle: _WorkerHandle) -> Tuple[int, int]:
         """Wait for the worker's ``ready.json`` announcement.
 
-        Readiness is a file rename into the generation's private spill
+        Readiness is a file rename into the generation's private
         directory, not a shared queue: no cross-process lock exists for
         a SIGKILLed sibling to wedge, and concurrent respawns cannot
         interleave announcements.  A worker that dies *during* startup
@@ -282,7 +265,7 @@ class ClusterDriver:
         waited out.
         """
         deadline = time.monotonic() + self.start_timeout
-        path = os.path.join(handle.spill_dir, READY_FILE)
+        path = os.path.join(handle.generation_dir, READY_FILE)
         while True:
             try:
                 with open(path, "r", encoding="utf-8") as stream:
@@ -321,7 +304,7 @@ class ClusterDriver:
             handles, self._handles = self._handles, []
             stop, self._stop = self._stop, None
             hb_thread, self._hb_thread = self._hb_thread, None
-            spill_root, self._spill_root = self._spill_root, None
+            fleet_root, self._fleet_root = self._fleet_root, None
         if not handles:
             return
         if stop is not None:
@@ -348,8 +331,8 @@ class ClusterDriver:
             if process.is_alive():
                 process.kill()
                 process.join(timeout=1.0)
-        if spill_root is not None:
-            shutil.rmtree(spill_root, ignore_errors=True)
+        if fleet_root is not None:
+            shutil.rmtree(fleet_root, ignore_errors=True)
 
     # -- heartbeats --------------------------------------------------------
 
@@ -443,20 +426,25 @@ class ClusterDriver:
     ) -> Tuple[List[Any], int]:
         self._ensure_started()
         frames: List[bytes] = []
+        name = getattr(fn, "__name__", str(fn))
         for task in tasks:
             try:
-                frames.append(
-                    pickle.dumps(
-                        (fn, tuple(task)), pickle.HIGHEST_PROTOCOL
-                    )
+                frame = pickle.dumps(
+                    (fn, tuple(task)), pickle.HIGHEST_PROTOCOL
                 )
             except Exception as exc:
-                name = getattr(fn, "__name__", str(fn))
                 raise ExecutorError(
                     f"cluster backend could not serialize a task for "
                     f"{name!r}: {exc} (jobs, side data, and records "
                     "must be picklable — define jobs at module level)"
                 ) from exc
+            if len(frame) > _MAX_PAYLOAD:
+                raise ExecutorError(
+                    f"cluster backend: a task for {name!r} pickles to "
+                    f"{len(frame)} bytes, over the {_MAX_PAYLOAD}-byte "
+                    "frame payload limit"
+                )
+            frames.append(frame)
         with self._dispatch_lock:
             dispatch = _Dispatch(frames, self.max_worker_respawns)
             self.queue_depth_highwater = max(
@@ -600,7 +588,7 @@ class ClusterDriver:
         index: int,
         attempt: int,
     ) -> Tuple[Any, int]:
-        """One task interaction: send, await, fetch (if blob), decode."""
+        """One task interaction: send, await, decode."""
         handle.in_flight = True
         try:
             sock = self._control(handle)
@@ -611,15 +599,16 @@ class ClusterDriver:
             )
             header, payload = recv_frame(sock)
             if header.get("op") == "error":
-                name = header.get("kind", "error")
+                kind = header.get("kind", "error")
+                hint = (
+                    ""
+                    if kind == "oversized"
+                    else " (jobs, side data, records, and results must "
+                    "be picklable)"
+                )
                 raise ExecutorError(
                     f"cluster backend could not execute a task "
-                    f"({name}): {header.get('detail')} (jobs, side "
-                    "data, records, and results must be picklable)"
-                )
-            if "blob" in header:
-                payload = self._fetch_blob(
-                    RemoteBlob.from_header(header["blob"])
+                    f"({kind}): {header.get('detail')}{hint}"
                 )
             try:
                 outcome = pickle.loads(payload)
@@ -642,47 +631,6 @@ class ClusterDriver:
             handle.control = sock
         return sock
 
-    def _fetch_blob(self, blob: RemoteBlob) -> bytes:
-        """Pull result bytes from the owning worker's data plane.
-
-        Transient connection errors are retried; a worker that no
-        longer holds the blob (it restarted and lost its spill files)
-        raises :class:`TaskLost`, and the task is re-executed — the
-        fetch-side half of the worker-death recovery story.
-        """
-        hook = self._before_fetch
-        if hook is not None:
-            hook(blob)
-        last: Optional[BaseException] = None
-        for attempt in range(self.fetch_retries):
-            try:
-                sock = connect(blob.port, timeout=self.connect_timeout)
-                try:
-                    header, payload = request(
-                        sock, {"op": "fetch", "blob": blob.blob}
-                    )
-                finally:
-                    sock.close()
-            except (OSError, ProtocolError) as exc:
-                last = exc
-                time.sleep(0.05 * (attempt + 1))
-                continue
-            if header.get("op") == "error":
-                raise TaskLost(
-                    f"worker {blob.worker} no longer holds blob "
-                    f"{blob.blob!r}: {header.get('detail')}"
-                )
-            if len(payload) != blob.size:
-                raise TaskLost(
-                    f"short blob {blob.blob!r}: got {len(payload)} of "
-                    f"{blob.size} bytes"
-                )
-            return payload
-        raise TaskLost(
-            f"could not reach worker {blob.worker} for blob "
-            f"{blob.blob!r} after {self.fetch_retries} attempts: {last}"
-        )
-
     def _recover(
         self, handle: _WorkerHandle, dispatch: _Dispatch
     ) -> bool:
@@ -690,7 +638,7 @@ class ClusterDriver:
 
         A live process whose connection dropped (injected frame drop,
         severed socket) is simply reconnected.  A dead process is
-        respawned with a fresh generation — new port, new empty spill
+        respawned with a fresh generation — new port, new generation
         directory — consuming one unit of the dispatch's respawn
         budget; past the budget the dispatch fails with
         :class:`WorkerDied`.

@@ -1,7 +1,6 @@
 """The wire protocol of the cluster backend: length-prefixed frames.
 
-Every message between the driver and a worker (and between peers on
-the fetch path) is one *frame*::
+Every message between the driver and a worker is one *frame*::
 
     MAGIC(4) VERSION(1) HEADER_LEN(4, big-endian) PAYLOAD_LEN(8) \
         HEADER(json, utf-8) PAYLOAD(raw bytes)
@@ -16,22 +15,16 @@ Failure surface
 ---------------
 
 * :class:`ProtocolError` — the stream is not speaking this protocol
-  (bad magic, unsupported version, oversized or unparseable header): a
-  *permanent* error, never retried.
+  (bad magic, unsupported version, oversized or unparseable header, a
+  payload declared larger than :data:`_MAX_PAYLOAD`): a *permanent*
+  error, never retried.
 * :class:`ConnectionClosed` — the peer hung up mid-frame (worker
   death, injected frame drop).  A :class:`ConnectionError` subclass,
   so generic ``except OSError`` recovery treats it like any other
   transport failure: the driver re-executes the task elsewhere.
 
-Blob handles
-------------
-
-A worker that produces a task result larger than its blob threshold
-keeps the pickled bytes in a worker-local spill file and replies with
-a :class:`RemoteBlob` handle instead; the consumer fetches the bytes
-directly from the owning worker with a ``fetch`` frame.  The handle is
-plain data (owner address + blob id), picklable and JSON-friendly, so
-it can travel inside result headers.
+Every task result returns inline, as the payload of the ``result``
+frame on the connection that carried the task.
 """
 
 from __future__ import annotations
@@ -39,7 +32,6 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from ..errors import MapReduceError
@@ -49,7 +41,6 @@ __all__ = [
     "MAGIC",
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "RemoteBlob",
     "connect",
     "recv_frame",
     "request",
@@ -65,6 +56,11 @@ _PREFIX = struct.Struct(">4sBIQ")
 #: Headers are small control JSON; anything bigger is a framing bug.
 _MAX_HEADER = 1 << 20
 
+#: Payloads are pickled task units and results; the largest measured
+#: result is a few hundred kB, so a bigger declaration is a garbled or
+#: hostile frame and is refused before a single payload byte is read.
+_MAX_PAYLOAD = 1 << 30
+
 
 class ProtocolError(MapReduceError):
     """The stream is not a well-formed cluster-protocol frame."""
@@ -72,38 +68,6 @@ class ProtocolError(MapReduceError):
 
 class ConnectionClosed(ConnectionError):
     """The peer closed the connection mid-frame (death or frame drop)."""
-
-
-@dataclass(frozen=True)
-class RemoteBlob:
-    """A handle to task-result bytes held in a worker's local spill.
-
-    ``worker`` is the owning worker's id (diagnostics), ``port`` its
-    listening port on 127.0.0.1, ``blob`` the opaque id to fetch, and
-    ``size`` the pickled payload length in bytes.
-    """
-
-    worker: int
-    port: int
-    blob: str
-    size: int
-
-    def to_header(self) -> Dict[str, Any]:
-        return {
-            "worker": self.worker,
-            "port": self.port,
-            "blob": self.blob,
-            "size": self.size,
-        }
-
-    @classmethod
-    def from_header(cls, header: Dict[str, Any]) -> "RemoteBlob":
-        return cls(
-            worker=int(header["worker"]),
-            port=int(header["port"]),
-            blob=str(header["blob"]),
-            size=int(header["size"]),
-        )
 
 
 def send_frame(
@@ -170,6 +134,11 @@ def recv_frame(
         raise ProtocolError(
             f"frame header of {header_len} bytes exceeds the "
             f"{_MAX_HEADER}-byte limit"
+        )
+    if payload_len > _MAX_PAYLOAD:
+        raise ProtocolError(
+            f"frame payload of {payload_len} bytes exceeds the "
+            f"{_MAX_PAYLOAD}-byte limit"
         )
     try:
         header = json.loads(_recv_exact(sock, header_len))

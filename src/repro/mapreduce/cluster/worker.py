@@ -1,27 +1,18 @@
-"""The worker daemon: one process serving tasks, pings, and fetches.
+"""The worker daemon: one process serving tasks and pings.
 
 A worker is a plain OS process (spawned by the
 :class:`~repro.mapreduce.cluster.driver.ClusterDriver`) that binds an
 ephemeral localhost port, announces readiness by atomically publishing
-a ``ready.json`` (port + pid) into its per-generation spill directory,
-and then serves protocol frames forever:
+a ``ready.json`` (port + pid) into its per-generation directory, and
+then serves protocol frames forever:
 
 * ``task`` — unpickle ``(fn, args)``, execute guarded (job errors come
-  back as values, keeping their original type), and reply with the pickled outcome.  Outcomes larger than the blob
-  threshold stay *worker-local*: the pickled bytes are written to this
-  worker's spill directory and the reply carries only a
-  :class:`~repro.mapreduce.cluster.protocol.RemoteBlob` handle — the
-  consumer fetches the bytes directly from this worker's data plane.
-  This is the cluster's shuffle-locality story: big map outputs live
-  with the worker that produced them until a reduce-side consumer
-  pulls them, and die with it (their loss is recovered by task
-  re-execution, as on a real cluster).
+  back as values, keeping their original type), and reply with the
+  pickled outcome inline.  An outcome whose pickle exceeds the frame
+  payload cap gets an ``error/oversized`` reply instead.
 * ``ping`` — heartbeat probe; answered from a dedicated handler
   thread, so a worker stays responsive while a long task runs and a
   ping timeout therefore means *process trouble*, not mere load.
-* ``fetch`` — stream a locally held blob to any peer (driver or
-  another worker); unknown ids get an ``error/blob-missing`` reply,
-  the signal that triggers re-execution after a restart.
 * ``mute`` — test hook: suppress pong replies for N seconds so the
   heartbeat ladder can be exercised deterministically.
 * ``shutdown`` — acknowledge and exit.
@@ -53,14 +44,10 @@ import pickle
 import socket
 import threading
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from ..errors import ExecutorError
-from .protocol import (
-    RemoteBlob,
-    recv_frame,
-    send_frame,
-)
+from .protocol import _MAX_PAYLOAD, recv_frame, send_frame
 
 __all__ = [
     "READY_FILE",
@@ -120,50 +107,17 @@ def _run_guarded(fn: Any, task: tuple) -> tuple:
         return False, exc
 
 
-class _BlobStore:
-    """Worker-local spill files for oversized task outcomes."""
-
-    def __init__(self, root: str) -> None:
-        self.root = root
-        os.makedirs(root, exist_ok=True)
-        self._lock = threading.Lock()
-        self._sequence = 0
-        self._sizes: Dict[str, int] = {}
-
-    def put(self, payload: bytes) -> str:
-        with self._lock:
-            self._sequence += 1
-            blob_id = f"blob-{self._sequence:06d}"
-            self._sizes[blob_id] = len(payload)
-        path = os.path.join(self.root, blob_id)
-        # Atomic publish (the PR 2 crash-safety idiom): a fetch can
-        # never observe a half-written blob.
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as handle:
-            handle.write(payload)
-        os.replace(tmp, path)
-        return blob_id
-
-    def get(self, blob_id: str) -> Optional[bytes]:
-        if blob_id not in self._sizes:
-            return None
-        with open(os.path.join(self.root, blob_id), "rb") as handle:
-            return handle.read()
-
-    def __len__(self) -> int:
-        return len(self._sizes)
+def _error(header: Dict, kind: str, detail: Any) -> tuple:
+    """An ``error`` reply for the task frame ``header``."""
+    if isinstance(detail, BaseException):
+        detail = f"{type(detail).__name__}: {detail}"
+    reply = dict(op="error", kind=kind, id=header.get("id"), detail=detail)
+    return reply, b""
 
 
 class _WorkerServer:
-    def __init__(
-        self,
-        slot: int,
-        spill_dir: str,
-        blob_threshold: int,
-    ) -> None:
+    def __init__(self, slot: int) -> None:
         self.slot = slot
-        self.blob_threshold = blob_threshold
-        self.blobs = _BlobStore(spill_dir)
         self.tasks_executed = 0
         self._task_lock = threading.Lock()
         self.listener = socket.socket(
@@ -187,59 +141,24 @@ class _WorkerServer:
             # function defined in __main__ after the fleet forked);
             # an error *reply* — not a dropped connection — so the
             # driver can surface the picklability hint.
-            return (
-                {
-                    "op": "error",
-                    "kind": "undecodable-task",
-                    "id": header.get("id"),
-                    "detail": f"{type(exc).__name__}: {exc}",
-                },
-                b"",
-            )
+            return _error(header, "undecodable-task", exc)
         with self._task_lock:
             outcome = _run_guarded(fn, args)
             self.tasks_executed += 1
         try:
             encoded = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
         except Exception as exc:  # unpicklable task result
-            return (
-                {
-                    "op": "error",
-                    "kind": "unpicklable",
-                    "id": header.get("id"),
-                    "detail": f"{type(exc).__name__}: {exc}",
-                },
-                b"",
+            return _error(header, "unpicklable", exc)
+        if len(encoded) > _MAX_PAYLOAD:
+            # The driver would refuse the frame; say why instead.
+            return _error(
+                header,
+                "oversized",
+                f"pickled result of {len(encoded)} bytes exceeds the "
+                f"{_MAX_PAYLOAD}-byte frame payload limit",
             )
-        reply = {
-            "op": "result",
-            "id": header.get("id"),
-            "worker": self.slot,
-        }
-        if len(encoded) > self.blob_threshold:
-            blob_id = self.blobs.put(encoded)
-            reply["blob"] = RemoteBlob(
-                worker=self.slot,
-                port=self.port,
-                blob=blob_id,
-                size=len(encoded),
-            ).to_header()
-            return reply, b""
+        reply = {"op": "result", "id": header.get("id"), "worker": self.slot}
         return reply, encoded
-
-    def handle_fetch(self, header: Dict) -> tuple:
-        payload = self.blobs.get(str(header.get("blob")))
-        if payload is None:
-            return (
-                {
-                    "op": "error",
-                    "kind": "blob-missing",
-                    "detail": f"no blob {header.get('blob')!r} on "
-                    f"worker {self.slot} (restarted?)",
-                },
-                b"",
-            )
-        return {"op": "blob", "size": len(payload)}, payload
 
     # -- connection plumbing -----------------------------------------------
 
@@ -262,9 +181,6 @@ class _WorkerServer:
                     send_frame(
                         conn, {"op": "pong", "worker": self.slot}
                     )
-                elif op == "fetch":
-                    reply, body = self.handle_fetch(header)
-                    send_frame(conn, reply, body)
                 elif op == "mute":
                     _STATE["muted_until"] = time.monotonic() + float(
                         header.get("seconds", 0.0)
@@ -278,7 +194,6 @@ class _WorkerServer:
                             "worker": self.slot,
                             "pid": os.getpid(),
                             "tasks_executed": self.tasks_executed,
-                            "blobs": len(self.blobs),
                         },
                     )
                 elif op == "shutdown":
@@ -326,20 +241,15 @@ class _WorkerServer:
             thread.start()
 
 
-#: Name of the readiness announcement inside a worker's spill dir.
+#: Name of the readiness announcement inside a worker's generation dir.
 READY_FILE = "ready.json"
 
 
-def worker_main(
-    slot: int,
-    generation: int,
-    spill_dir: str,
-    blob_threshold: int,
-) -> None:
+def worker_main(slot: int, generation: int, generation_dir: str) -> None:
     """Process entry point: bind, announce readiness, serve forever.
 
     Readiness is announced by atomically publishing ``ready.json``
-    (port + pid) into this generation's private spill directory — a
+    (port + pid) into this generation's private directory — a
     deliberate choice over a shared ``multiprocessing.Queue``: the
     queue's cross-process semaphores are not robust against the
     SIGKILLs this plane injects on purpose (a worker killed at the
@@ -350,7 +260,7 @@ def worker_main(
     _STATE["active"] = True
     _STATE["slot"] = slot
     os.environ[WORKER_ENV_FLAG] = str(slot)
-    server = _WorkerServer(slot, spill_dir, blob_threshold)
+    server = _WorkerServer(slot)
     announcement = json.dumps(
         {
             "slot": slot,
@@ -359,7 +269,8 @@ def worker_main(
             "pid": os.getpid(),
         }
     )
-    path = os.path.join(spill_dir, READY_FILE)
+    os.makedirs(generation_dir, exist_ok=True)
+    path = os.path.join(generation_dir, READY_FILE)
     with open(path + ".tmp", "w", encoding="utf-8") as handle:
         handle.write(announcement)
     os.replace(path + ".tmp", path)

@@ -18,9 +18,10 @@ contract.  This module supplies both halves:
 * **Recovery** — :class:`RetryPolicy` configures how many attempts a
   task (or a storage operation, or a service flush) gets and how long
   to back off between them; :func:`resilient_task_call` is the
-  picklable in-worker wrapper that re-executes failed task attempts
-  (a failed attempt's counters are simply never returned, so totals
-  stay bit-identical — the ``counters=None`` retry discipline);
+  picklable in-worker wrapper that re-executes task attempts failed
+  by an injected fault (a failed attempt's counters are simply never
+  returned, so totals stay bit-identical — the ``counters=None``
+  retry discipline; in-task retries cover injected faults only);
   :class:`RetryingFileSystem` retries transient storage faults
   driver-side.
 
@@ -135,7 +136,12 @@ class RetryPolicy:
     ----------
     max_attempts:
         Total attempts per task / storage operation / flush (``1`` =
-        no retries, the pre-fault-plane behavior).
+        no retries, the pre-fault-plane behavior).  In-task retries
+        cover injected faults only (see :func:`resilient_task_call`):
+        a task that raises anything else fails on its first attempt,
+        and a worker that dies is recovered by the cluster backend's
+        resubmit, not by this budget.  Storage operations retry
+        injected faults and ``OSError``.
     backoff:
         Base seconds slept between attempts, scaled linearly by the
         attempt number (attempt ``n`` retries after ``backoff * n``
@@ -169,16 +175,6 @@ class RetryPolicy:
     def retry_delay(self, attempt: int) -> float:
         """Seconds to sleep before retry number ``attempt`` (1-based)."""
         return self.backoff * attempt
-
-    @staticmethod
-    def retryable(exc: BaseException) -> bool:
-        """Whether an exception models a *transient* failure.
-
-        Injected faults and OS-level errors qualify; deterministic job
-        bugs (validation errors, event rejections) do not — retrying a
-        deterministic failure is wasted work that hides the bug.
-        """
-        return isinstance(exc, (InjectedFault, OSError))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 from .errors import MapReduceError
 from .job import MapReduceJob
 from .runtime import MapReduceRuntime
-from .storage import FileSystem, resolve_filesystem
+from .storage import FileSystem
 
 __all__ = ["PipelineStage", "Pipeline"]
 
@@ -143,9 +143,10 @@ class Pipeline:
         MapReduceRuntime.run_iter`) — no stage's output is ever
         materialized as one driver-side list, which is what lets a
         disk-backed pipeline honor the out-of-core storage contract.
-        ``records_out`` comes from the filesystem's own ``du``
-        accounting; the return value is the last stage's dataset read
-        back (bit-identical to the reduce output by the storage codec
+        ``records_out`` is the record count ``filesystem.write``
+        returns, so no stage re-reads or re-encodes its output to count
+        it; the return value is the last stage's dataset read back
+        (bit-identical to the reduce output by the storage codec
         contract).
         """
         self.validate()
@@ -168,12 +169,9 @@ class Pipeline:
                 stream = self.runtime.run_iter(
                     stage.job, records, side_data=side
                 )
-                self.filesystem.write(
+                self.records_out[stage.output] = self.filesystem.write(
                     stage.output, stream, overwrite=True
                 )
-                self.records_out[stage.output] = self.filesystem.du(
-                    stage.output
-                ).records
                 last_output = stage.output
         if last_output is None:
             return []

@@ -240,9 +240,10 @@ class MapReduceRuntime:
         instrumentation sites zero-cost.
     retry_policy:
         Optional :class:`~repro.mapreduce.faults.RetryPolicy`.  With
-        ``max_attempts > 1``, failed task attempts re-execute (the
-        failed attempt's counters are discarded whole, so totals stay
-        bit-identical) and transient storage errors are retried
+        ``max_attempts > 1``, task attempts failed by an injected fault
+        re-execute (the failed attempt's counters are discarded whole,
+        so totals stay bit-identical; in-task retries cover injected
+        faults only) and transient storage errors are retried
         driver-side; with ``task_timeout`` set and the cluster backend,
         straggling tasks get a speculative backup attempt and the
         first finisher wins.  Recovery activity is metered under the
@@ -370,15 +371,17 @@ class MapReduceRuntime:
         is currently open.
 
         This is also the recovery choke point.  With a
-        :class:`RetryPolicy`, every task is wrapped in
-        :func:`~repro.mapreduce.faults.resilient_task_call` (retries
-        stay inside the worker, so the backend sees one submission per
-        task) and a ``task_timeout`` routes the batch through the
-        executor's speculative path; with a :class:`FaultPlan`, the
-        wrapper also fires the scheduled crashes and delays.  Failed
-        attempts never return their counters, so the merged totals are
-        bit-identical with the fault-free run; recovery activity lands
-        in the volatile ``faults`` group.
+        :class:`FaultPlan` that schedules task faults, every task is
+        wrapped in :func:`~repro.mapreduce.faults.resilient_task_call`,
+        which fires the scheduled crashes and delays and retries the
+        injected faults within the :class:`RetryPolicy` budget
+        (retries stay inside the worker, so the backend sees one
+        submission per task); in-task retries cover injected faults
+        only.  A ``task_timeout`` routes the batch through the
+        executor's speculative path.  Failed attempts never return
+        their counters, so the merged totals are bit-identical with
+        the fault-free run; recovery activity lands in the volatile
+        ``faults`` group.
         """
         policy = self.retry_policy
         plan = self.fault_plan
@@ -402,14 +405,6 @@ class MapReduceRuntime:
                     (max_attempts, backoff, specs, fn) + tuple(task)
                 )
             fn, tasks = resilient_task_call, wrapped
-        elif max_attempts > 1:
-            # No scheduled faults, but real transient errors (OSError
-            # from a flaky disk, say) still get the retry budget.
-            tasks = [
-                (max_attempts, backoff, (), fn) + tuple(task)
-                for task in tasks
-            ]
-            fn = resilient_task_call
         executor = self.executor
         respawns_before = getattr(executor, "pool_respawns", 0)
         resubmits_before = getattr(executor, "resubmitted_tasks", 0)

@@ -4,14 +4,13 @@ Four layers of the distributed plane, bottom-up:
 
 * **frame codec** — length-prefixed frames round-trip any header +
   payload, and every malformed-stream shape (bad magic, truncation,
-  oversized or unparseable header, arbitrary garbage) fails with the
-  right exception class;
+  oversized or unparseable header, over-cap payload declaration,
+  arbitrary garbage) fails with the right exception class;
 * **heartbeat state machine** — the alive → suspect → dead ladder is a
   pure function of injected clock readings, so worker-death detection
   is tested without a single real socket or sleep;
 * **driver recovery** — a real localhost fleet survives mid-task
-  ``SIGKILL``, lost result blobs, dropped connections, and silent
-  (muted) workers, re-executing work until the batch completes with
+  ``SIGKILL``, dropped connections, and silent (muted) workers, re-executing work until the batch completes with
   results identical to what a healthy fleet returns;
 * **executor equivalence** — ``--backend cluster`` plugged into the
   full :class:`MapReduceRuntime` produces output records, ``job_log``,
@@ -23,7 +22,7 @@ the ``cluster`` marker (deselect with ``-m "not cluster"``).
 
 import multiprocessing
 import os
-import signal
+import pickle
 import socket
 import threading
 import time
@@ -47,11 +46,11 @@ from repro.mapreduce.cluster import (
     ConnectionClosed,
     HeartbeatMonitor,
     ProtocolError,
-    RemoteBlob,
-    TaskLost,
     recv_frame,
     send_frame,
 )
+from repro.mapreduce.cluster import driver as driver_module
+from repro.mapreduce.cluster import worker as worker_module
 from repro.mapreduce.cluster.heartbeat import ALIVE, DEAD, SUSPECT
 from repro.mapreduce.cluster.executor import _peek_fleet
 from repro.mapreduce.cluster.protocol import (
@@ -84,9 +83,9 @@ def _fail_on(x, bad):
     return x
 
 
-def _blob_payload(n):
-    """A result whose pickle comfortably exceeds a small threshold."""
-    return bytes((n + i) % 251 for i in range(4096))
+def _large_payload(n):
+    """A result whose pickle exceeds 256 KiB (300,000 bytes)."""
+    return bytes((n + i) % 251 for i in range(300_000))
 
 
 def _exit_once(sentinel, value):
@@ -288,9 +287,30 @@ def test_recv_frame_on_arbitrary_bytes_fails_only_as_protocol_errors(
         writer.join(timeout=5.0)
 
 
-def test_remote_blob_header_round_trip():
-    blob = RemoteBlob(worker=3, port=45001, blob="blob-000007", size=9000)
-    assert RemoteBlob.from_header(blob.to_header()) == blob
+def test_recv_rejects_over_cap_payload_declaration():
+    """A prefix declaring a 2**62-byte payload is refused at once: no
+    payload byte is read, so a garbled frame cannot make the reader
+    buffer without bound."""
+    header = b'{"op":"result"}'
+    reader, writer = _feed(
+        _PREFIX.pack(MAGIC, PROTOCOL_VERSION, len(header), 1 << 62)
+        + header
+        + b"p" * 4096
+    )
+    try:
+        with pytest.raises(ProtocolError, match="payload"):
+            recv_frame(reader)
+        # Refused on the prefix alone: everything after it is unread.
+        rest = b""
+        while True:
+            chunk = reader.recv(65536)
+            if not chunk:
+                break
+            rest += chunk
+        assert rest == header + b"p" * 4096
+    finally:
+        reader.close()
+        writer.join(timeout=5.0)
 
 
 # -- heartbeat state machine (pure, time-injected) --------------------------
@@ -343,7 +363,7 @@ def test_heartbeat_validates_parameters():
         HeartbeatMonitor(interval=1.0, miss_limit=1)
 
 
-# -- driver: dispatch, errors, blobs ----------------------------------------
+# -- driver: dispatch, errors, payload cap ----------------------------------
 
 
 @pytest.fixture
@@ -395,26 +415,50 @@ def test_driver_rejects_unpicklable_tasks(driver):
         driver.run_tasks(local, [(1,)])
 
 
-def test_oversized_results_travel_as_blobs():
-    driver = ClusterDriver(num_workers=2, blob_threshold=64)
+def test_large_results_return_inline():
+    """Results above 256 KiB come back intact on the control
+    connection, like every other result."""
+    driver = ClusterDriver(num_workers=2)
     try:
         results = driver.run_tasks(
-            _blob_payload, [(n,) for n in range(6)]
+            _large_payload, [(n,) for n in range(4)]
         )
-        assert results == [_blob_payload(n) for n in range(6)]
+        assert results == [_large_payload(n) for n in range(4)]
+        assert driver.pool_respawns == 0
+        assert driver.resubmitted_tasks == 0
     finally:
         driver.shutdown()
 
 
-def test_small_results_stay_inline():
-    fetched = []
-    driver = ClusterDriver(num_workers=1, blob_threshold=1 << 20)
-    driver._before_fetch = fetched.append
+def test_worker_refuses_an_over_cap_result(monkeypatch):
+    """In process, with the cap patched low: the worker answers an
+    over-cap result with ``error/oversized`` instead of a frame the
+    driver would refuse."""
+    monkeypatch.setattr(worker_module, "_MAX_PAYLOAD", 1000)
+    server = worker_module._WorkerServer(0)
     try:
-        assert driver.run_tasks(_square, [(9,)]) == [81]
-        assert fetched == []  # no data-plane round trip happened
+        task = pickle.dumps((_large_payload, (1,)))
+        header, body = server.handle_task({"id": "0.0"}, task)
+        assert header["op"] == "error"
+        assert header["kind"] == "oversized"
+        assert "1000-byte" in header["detail"]
+        assert body == b""
+        small = pickle.dumps((_square, (3,)))
+        header, body = server.handle_task({"id": "1.0"}, small)
+        assert header["op"] == "result"
+        assert pickle.loads(body) == (True, 9)
     finally:
-        driver.shutdown()
+        server.listener.close()
+
+
+def test_over_cap_task_fails_once_without_resubmits(driver, monkeypatch):
+    """A task frame over the cap is refused driver-side before
+    dispatch, with a message naming the cap — not resubmitted."""
+    monkeypatch.setattr(driver_module, "_MAX_PAYLOAD", 1000)
+    with pytest.raises(ExecutorError, match="1000-byte"):
+        driver.run_tasks(_square, [(b"x" * 2000,)])
+    assert driver.resubmitted_tasks == 0
+    assert driver.run_tasks(_square, [(4,)]) == [16]
 
 
 # -- driver: recovery -------------------------------------------------------
@@ -432,58 +476,6 @@ def test_mid_task_sigkill_is_reexecuted(driver, tmp_path):
     assert driver.resubmitted_tasks >= 1
     # The respawned slot serves the next batch like nothing happened.
     assert driver.run_tasks(_square, [(5,)]) == [25]
-
-
-def test_fetch_retry_on_restarted_worker(tmp_path):
-    """Killing a blob's owner *between execution and fetch* loses the
-    result bytes; the driver re-executes the task instead of failing."""
-    driver = ClusterDriver(num_workers=2, blob_threshold=64)
-    killed = []
-
-    def assassinate(blob):
-        if not killed:
-            killed.append(blob)
-            os.kill(driver._handles[blob.worker].pid, signal.SIGKILL)
-            time.sleep(0.05)
-
-    driver._before_fetch = assassinate
-    try:
-        results = driver.run_tasks(
-            _blob_payload, [(n,) for n in range(4)]
-        )
-        assert results == [_blob_payload(n) for n in range(4)]
-        assert len(killed) == 1
-        assert driver.pool_respawns >= 1
-        assert driver.resubmitted_tasks >= 1
-    finally:
-        driver.shutdown()
-
-
-def test_restarted_worker_reports_blob_missing():
-    """The protocol-level half of fetch recovery: a worker that lost
-    its spill files answers ``error/blob-missing``, which the driver
-    maps to :class:`TaskLost` (and thence to re-execution)."""
-    driver = ClusterDriver(num_workers=1, blob_threshold=64)
-    try:
-        driver.run_tasks(_blob_payload, [(1,)])
-        port = driver._handles[0].port
-        sock = connect(port, timeout=5.0)
-        try:
-            header, _ = request(
-                sock, {"op": "fetch", "blob": "blob-999999"}
-            )
-        finally:
-            sock.close()
-        assert header["op"] == "error"
-        assert header["kind"] == "blob-missing"
-        with pytest.raises(TaskLost, match="no longer holds"):
-            driver._fetch_blob(
-                RemoteBlob(
-                    worker=0, port=port, blob="blob-999999", size=10
-                )
-            )
-    finally:
-        driver.shutdown()
 
 
 def test_muted_worker_is_declared_dead_and_replaced():

@@ -103,22 +103,28 @@ def test_multi_input_stage():
 
 
 # -- streaming regression ---------------------------------------------------
-# Pipeline.run used to materialize every stage's full output in driver
-# memory before writing it to the filesystem; it now streams the
-# runtime's task outputs straight into filesystem.write and derives
-# records_out from the dataset's own du() accounting.
+# Pipeline.run streams the runtime's task outputs straight into
+# filesystem.write, never holding a stage's full output in driver
+# memory, and takes records_out from the count that write returns,
+# never from du() (which re-encodes a memory dataset or re-reads a
+# disk one).
 
 
 class _StreamSpyFS(InMemoryFileSystem):
-    """Records whether each write received a lazy iterator or a list."""
+    """Records what each write received, and every du() call."""
 
     def __init__(self):
         super().__init__()
         self.write_types = {}
+        self.du_calls = []
 
     def write(self, path, records, overwrite=False):
         self.write_types[path] = type(records).__name__
         return super().write(path, records, overwrite=overwrite)
+
+    def du(self, path=None):
+        self.du_calls.append(path)
+        return super().du(path)
 
 
 def test_run_streams_stage_output_into_filesystem():
@@ -130,6 +136,16 @@ def test_run_streams_stage_output_into_filesystem():
     assert p.filesystem.write_types["/counts"] == "generator"
     # ...and the result read back from storage is complete and exact.
     assert dict(output) == {"a": 3, "b": 2, "c": 1}
+
+
+def test_run_makes_no_du_call():
+    p = Pipeline(filesystem=_StreamSpyFS())
+    p.filesystem.write("/in", [(0, "a b a c a b")])
+    p.add(Tokenize(), ["/in"], "/counts")
+    p.add(FilterBig(), ["/counts"], "/big", side_data=lambda fs: {"min": 2})
+    p.run()
+    assert p.filesystem.du_calls == []
+    assert p.records_out == {"/counts": 3, "/big": 2}
 
 
 def test_records_out_comes_from_dataset_accounting(pipeline):
